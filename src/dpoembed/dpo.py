@@ -143,7 +143,9 @@ def pushout(span: PartitioningSpan) -> PushoutResult:
             circles.add(cid)
 
     result = graph(vertices, edges, circles)
-    assert validate_graph(result).ok
+    report = validate_graph(result)
+    if not report.ok:
+        raise SpanInvariantViolated(list(report.errors))
 
     cid_of = {m: class_id(find(m)) for m in members}
     m_map = morphism(
@@ -304,7 +306,10 @@ def iso_check(g1: Graph, g2: Graph, max_vertices: int = 64):
     """Search for an isomorphism preserving sources and targets.
 
     Exhaustive backtracking with degree-signature pruning; intended for
-    desk-scale graphs.  Returns (vmap, amap) or None.
+    desk-scale graphs, hence the `max_vertices` cap.  Each graph's
+    signatures and (source, target) pair counts are tabulated in one
+    pass over its edges, so testing a candidate vertex costs one lookup
+    per mapped vertex.  Returns (vmap, amap) or None.
     """
     if len(g1.vertices) > max_vertices or len(g2.vertices) > max_vertices:
         raise SizeLimitExceeded(max_vertices)
@@ -313,43 +318,43 @@ def iso_check(g1: Graph, g2: Graph, max_vertices: int = 64):
             or len(g1.circles) != len(g2.circles)):
         return None
 
-    def signature(g: Graph, v: str):
-        out = sum(1 for e in g.edges if g.source(e) == v)
-        inn = sum(1 for e in g.edges if g.target(e) == v)
-        loops = sum(1 for e in g.edges if g.edges[e] == (v, v))
-        return (out, inn, loops)
+    def profile(g: Graph):
+        """(vertex -> (out, in, loops), (source, target) -> edge count)."""
+        sig = {v: [0, 0, 0] for v in g.vertices}
+        counts: Dict[Tuple[str, str], int] = {}
+        for s, t in g.edges.values():
+            counts[(s, t)] = counts.get((s, t), 0) + 1
+            if s in sig:
+                sig[s][0] += 1
+            if t in sig:
+                sig[t][1] += 1
+                if s == t:
+                    sig[t][2] += 1
+        return {v: tuple(x) for v, x in sig.items()}, counts
 
-    sig1 = {v: signature(g1, v) for v in g1.vertices}
-    sig2 = {v: signature(g2, v) for v in g2.vertices}
+    sig1, counts1 = profile(g1)
+    sig2, counts2 = profile(g2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
 
-    def pair_counts(g: Graph):
-        counts: Dict[Tuple[str, str], int] = {}
-        for e in g.edges:
-            counts[g.edges[e]] = counts.get(g.edges[e], 0) + 1
-        return counts
-
-    counts2 = pair_counts(g2)
     order = sorted(g1.vertices, key=lambda v: (sig1[v], v))
+    candidates = sorted(g2.vertices)
     vmap: Dict[str, str] = {}
     used = set()
 
     def consistent(v, w):
         # Edge-pair counts between already-mapped vertices must match.
         for u, x in vmap.items():
-            for a, bb in (((u, v), (x, w)), ((v, u), (w, x))):
-                c1 = sum(1 for e in g1.edges if g1.edges[e] == a)
-                if c1 != counts2.get(bb, 0):
-                    return False
-        c1 = sum(1 for e in g1.edges if g1.edges[e] == (v, v))
-        return c1 == counts2.get((w, w), 0)
+            if (counts1.get((u, v), 0) != counts2.get((x, w), 0)
+                    or counts1.get((v, u), 0) != counts2.get((w, x), 0)):
+                return False
+        return counts1.get((v, v), 0) == counts2.get((w, w), 0)
 
     def backtrack(i):
         if i == len(order):
             return True
         v = order[i]
-        for w in sorted(g2.vertices):
+        for w in candidates:
             if w in used or sig2[w] != sig1[v]:
                 continue
             if not consistent(v, w):

@@ -10,7 +10,8 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 SRC = "src"
@@ -60,6 +61,20 @@ class Graph:
     vertices: frozenset
     edges: Mapping[str, Tuple[str, str]]
     circles: frozenset
+
+    @cached_property
+    def incidence(self) -> Mapping[str, Tuple[Flag, ...]]:
+        """Vertex -> its flags in edge order, built in one pass over the
+        edges on first use and kept on this instance.
+
+        Not a dataclass field, so equality, repr and serialization do not
+        see it.  Tuples rather than sets keep the per-graph memory small.
+        """
+        inc: dict = {v: [] for v in self.vertices}
+        for e, (s, t) in self.edges.items():
+            inc.setdefault(s, []).append(Flag(e, SRC))
+            inc.setdefault(t, []).append(Flag(e, TGT))
+        return {v: tuple(fls) for v, fls in inc.items()}
 
     def source(self, e: str) -> str:
         return self.edges[e][0]
@@ -127,22 +142,21 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 
 def flags_at(g: Graph, v: str) -> frozenset:
-    """The flags incident at v; a self-loop contributes both its flags."""
+    """The flags incident at v; a self-loop contributes both its flags.
+
+    Reads `g.incidence`: O(E) once per graph, then O(deg v) per call.
+    """
     if v not in g.vertices:
         raise UnknownVertex(v)
-    out = set()
-    for e in g.edges:
-        s, t = g.edges[e]
-        if s == v:
-            out.add(Flag(e, SRC))
-        if t == v:
-            out.add(Flag(e, TGT))
-    return frozenset(out)
+    return frozenset(g.incidence[v])
 
 
 def degree(g: Graph, v: str) -> int:
-    """Number of flags at v; self-loops count twice."""
-    return len(flags_at(g, v))
+    """Number of flags at v; self-loops count twice.  O(1) once
+    `g.incidence` is built."""
+    if v not in g.vertices:
+        raise UnknownVertex(v)
+    return len(g.incidence[v])
 
 
 def flag_vertex(g: Graph, f: Flag) -> str:

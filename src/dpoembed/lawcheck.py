@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .graph import (
+    SRC,
+    TGT,
+    Flag,
     Graph,
-    degree,
-    flags_at,
+    UnknownVertex,
     graph,
     is_connected,
 )
@@ -168,12 +170,28 @@ def enumerate_premorphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     return _PRE_CACHE[key]
 
 
+def _scan_flags(g: Graph, v: str) -> frozenset:
+    """The flags at v by a scan of every edge.
+
+    Deliberately independent of `Graph.incidence`, which the laws check.
+    """
+    if v not in g.vertices:
+        raise UnknownVertex(v)
+    out = set()
+    for e, (s, t) in g.edges.items():
+        if s == v:
+            out.add(Flag(e, SRC))
+        if t == v:
+            out.add(Flag(e, TGT))
+    return frozenset(out)
+
+
 def all_rotations(g: Graph) -> List[RotationSystem]:
     """Every rotation system of g: independent cyclic orders per vertex."""
     per_vertex = []
     vs = g.sorted_vertices()
     for v in vs:
-        fls = sorted(flags_at(g, v))
+        fls = sorted(_scan_flags(g, v))
         if not fls:
             per_vertex.append([()])
             continue
@@ -409,10 +427,12 @@ def _holds_degree_preservation(f: GraphMorphism) -> bool:
         return True
     fm = flag_map(f)
     for v in f.vmap:
-        if degree(f.dom, v) != degree(f.cod, f.vmap[v]):
+        at_v = _scan_flags(f.dom, v)
+        at_image = _scan_flags(f.cod, f.vmap[v])
+        if len(at_v) != len(at_image):
             return False
-        image = {fm[fl] for fl in flags_at(f.dom, v) if fl in fm}
-        if image != flags_at(f.cod, f.vmap[v]):
+        image = {fm[fl] for fl in at_v if fl in fm}
+        if image != at_image:
             return False
     return True
 
@@ -424,7 +444,7 @@ def _holds_almost_vertex_injective(f: GraphMorphism) -> bool:
     for v, w in f.vmap.items():
         by_image.setdefault(w, []).append(v)
     for vs in by_image.values():
-        if len(vs) > 1 and any(degree(f.dom, v) > 0 for v in vs):
+        if len(vs) > 1 and any(_scan_flags(f.dom, v) for v in vs):
             return False
     return True
 

@@ -138,9 +138,10 @@ def find_matches(req: MatchRequest) -> List[Match]:
             if len(results) > opts.max_matches:
                 raise MatchLimitExceeded(opts.max_matches)
 
+    host_arcs = host.arcs()
+    host_circles = host.sorted_circles()
+
     def assign_free_arcs(vmap, amap):
-        host_arcs = host.arcs()
-        host_circles = host.sorted_circles()
         loops = [a for a in free_arcs if left.is_edge(a)]
         circles = [a for a in free_arcs if left.is_circle(a)]
         loop_choices = itertools.product(host_arcs, repeat=len(loops))

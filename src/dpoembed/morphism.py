@@ -144,10 +144,10 @@ def classify(f: GraphMorphism) -> MorphismClass:
     violations = []
 
     dom_arcs = set(f.dom.arcs())
-    cod_arcs = set(f.cod.arcs())
     for a in sorted(dom_arcs):
         img = f.a(a)
-        if img is None or img not in cod_arcs:
+        if img is None or (img not in f.cod.edges
+                           and img not in f.cod.circles):
             violations.append(("NotTotalOnArcs", f"arc {a} has no image"))
     for a in sorted(f.amap):
         if a not in dom_arcs:

@@ -126,7 +126,8 @@ def rot_pushout(span: PartitioningSpan, rot_b: RotationSystem,
         inc[w] = _relabel_rotation(rot_context.rotation(v), po.g)
     rs = rotation_system(po.graph, inc)
     report = validate_rotation(rs)
-    assert report.ok, report.errors
+    if not report.ok:
+        raise RotationError(report.errors)
     return po, rs
 
 
@@ -158,7 +159,8 @@ def rot_complement(be: BoundaryEmbedding, rot_b: RotationSystem,
         c_fm[fl] for fl in rot_b.rotation(be.b.dual_boundary))
     rs = rotation_system(comp.context, inc)
     report = validate_rotation(rs)
-    assert report.ok, report.errors
+    if not report.ok:
+        raise RotationError(report.errors)
     return comp, rs
 
 
@@ -261,9 +263,10 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
                 1 for walk in faces if walk[0][0] in arcs)
         chi = len(vs) - edge_count + face_count
         if (2 - chi) % 2 != 0:
-            raise AssertionError(f"OddEulerDefect: chi={chi}")
+            raise RotationError(f"OddEulerDefect: chi={chi}")
         genus = (2 - chi) // 2
-        assert genus >= 0, "negative genus from a valid rotation system"
+        if genus < 0:
+            raise RotationError("negative genus from a valid rotation system")
         reports.append(ComponentReport(
             vertices=tuple(sorted(vs)),
             arcs=tuple(sorted(arcs)),

@@ -66,6 +66,10 @@ class ValidationFailed(DocumentError):
     pass
 
 
+class FieldTypeError(DocumentError):
+    pass
+
+
 @dataclass(frozen=True)
 class Document:
     kind: str
@@ -115,25 +119,49 @@ def graph_to_body(g: Graph,
     return body
 
 
+def _string_list(body: Mapping, key: str, where: str):
+    # tuples are what graph_to_body writes; JSON text only yields lists
+    ids = body.get(key, [])
+    if (not isinstance(ids, (list, tuple))
+            or not all(isinstance(i, str) for i in ids)):
+        raise FieldTypeError(f"{where}.{key}: expected a list of strings")
+    return ids
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise FieldTypeError(f"{where}: expected a string")
+    return value
+
+
 def graph_from_body(body: Mapping, where: str = "graph",
                     lenient: bool = False):
     """Returns (Graph, Optional[RotationSystem])."""
     _check_fields(body, {"vertices", "edges", "circles", "rotations"},
                   {"vertices", "edges"}, where, lenient)
+    vertices = _string_list(body, "vertices", where)
+    circles = _string_list(body, "circles", where)
+    if not isinstance(body["edges"], dict):
+        raise FieldTypeError(f"{where}.edges: expected an object")
     edges = {}
-    for e, spec in dict(body.get("edges", {})).items():
+    for e, spec in body["edges"].items():
         _check_fields(spec, {"source", "target"}, {"source", "target"},
                       f"{where}.edges.{e}", lenient)
-        edges[e] = (spec["source"], spec["target"])
-    g = graph(body.get("vertices", []), edges, body.get("circles", []))
+        edges[e] = (_string(spec["source"], f"{where}.edges.{e}.source"),
+                    _string(spec["target"], f"{where}.edges.{e}.target"))
+    g = graph(vertices, edges, circles)
     report = validate_graph(g)
     if not report.ok:
         raise ValidationFailed(f"{where}: {report.errors}")
     rs = None
     if "rotations" in body:
+        rotations = body["rotations"]
+        if not isinstance(rotations, dict):
+            raise FieldTypeError(f"{where}.rotations: expected an object")
         inc = {
-            v: [_flag_from_token(t, f"{where}.rotations.{v}") for t in fls]
-            for v, fls in body["rotations"].items()
+            v: [_flag_from_token(t, f"{where}.rotations.{v}")
+                for t in _string_list(rotations, v, f"{where}.rotations")]
+            for v in rotations
         }
         rs = rotation_system(g, inc)
         rreport = validate_rotation(rs)

@@ -48,6 +48,18 @@ def test_bad_json_is_usage_error(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize("vertices", [[["a"]], "ab", [1, 2]],
+                         ids=["nested-list", "string", "integers"])
+def test_malformed_vertex_ids_are_usage_errors(capsys, tmp_path, vertices):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "graph", "format_version": "1",
+                               "body": {"vertices": vertices, "edges": {}}}))
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "vertices" in err
+
+
 def test_unknown_field_strict_then_lenient(capsys, tmp_path):
     payload = json.loads((FIXTURES / "graph_circle.json").read_text())
     payload["body"]["note"] = "extra"

@@ -1,4 +1,8 @@
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dpoembed import (
     BoundaryEmbedding,
@@ -141,7 +145,111 @@ def test_iso_check_distinguishes_directions():
     assert iso_check(cyc, par) is None
 
 
+def _assert_isomorphism(g1, g2, iso):
+    vmap, amap = iso
+    assert set(vmap) == set(g1.vertices)
+    assert sorted(vmap.values()) == sorted(g2.vertices)
+    assert set(amap) == set(g1.arcs())
+    assert sorted(amap.values()) == sorted(g2.arcs())
+    for e, (s, t) in g1.edges.items():
+        assert g2.edges[amap[e]] == (vmap[s], vmap[t])
+    for o in g1.circles:
+        assert amap[o] in g2.circles
+
+
+def _cycle(names, prefix):
+    n = len(names)
+    return graph(names, {f"{prefix}{i}": (names[i], names[(i + 1) % n])
+                         for i in range(n)})
+
+
+def test_iso_check_at_its_vertex_cap():
+    # g1's id order follows the cycle; g2 is the same cycle relabelled
+    g1 = _cycle([f"v{i:02d}" for i in range(64)], "e")
+    perm = [(17 * i + 5) % 64 for i in range(64)]
+    g2 = _cycle([f"w{perm[i]}" for i in range(64)], "d")
+    iso = iso_check(g1, g2)
+    assert iso is not None
+    _assert_isomorphism(g1, g2, iso)
+
+
 def test_iso_check_size_limit():
-    big = graph([f"v{i}" for i in range(100)])
+    over = _cycle([f"v{i:02d}" for i in range(65)], "e")
     with pytest.raises(SizeLimitExceeded):
-        iso_check(big, big)
+        iso_check(over, over)
+    with pytest.raises(SizeLimitExceeded):
+        iso_check(_cycle([f"v{i:02d}" for i in range(64)], "e"), over)
+
+
+def _brute_force_isomorphic(g1, g2):
+    """Try every vertex bijection against the edge multisets."""
+    if (len(g1.vertices) != len(g2.vertices)
+            or len(g1.circles) != len(g2.circles)):
+        return False
+    target = Counter(g2.edges.values())
+    vs1, vs2 = sorted(g1.vertices), sorted(g2.vertices)
+    for image in itertools.permutations(vs2):
+        pi = dict(zip(vs1, image))
+        if Counter((pi[s], pi[t]) for s, t in g1.edges.values()) == target:
+            return True
+    return False
+
+
+def test_iso_check_equal_signatures_not_isomorphic():
+    c6 = _cycle([f"a{i}" for i in range(6)], "e")
+    two_c3 = graph([f"b{i}" for i in range(6)],
+                   {"d0": ("b0", "b1"), "d1": ("b1", "b2"), "d2": ("b2", "b0"),
+                    "d3": ("b3", "b4"), "d4": ("b4", "b5"), "d5": ("b5", "b3")})
+    assert not _brute_force_isomorphic(c6, two_c3)
+    assert iso_check(c6, two_c3) is None
+    assert iso_check(two_c3, c6) is None
+
+
+@st.composite
+def small_graph_data(draw):
+    """Up to 6 vertices and 8 edges, with self-loops, parallel edges,
+    isolated vertices and circles: (n, endpoint pairs, circle count)."""
+    n = draw(st.integers(0, 6))
+    if not n:
+        return 0, [], draw(st.integers(0, 2))
+    v = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(v, v), max_size=8))
+    return n, pairs, draw(st.integers(0, 2))
+
+
+def _build(n, pairs, no, v, e, o, edge_ids=None):
+    edge_ids = edge_ids or range(len(pairs))
+    return graph([f"{v}{i}" for i in range(n)],
+                 {f"{e}{j}": (f"{v}{s}", f"{v}{t}")
+                  for j, (s, t) in zip(edge_ids, pairs)},
+                 [f"{o}{i}" for i in range(no)])
+
+
+@st.composite
+def graph_pairs(draw):
+    """A small graph paired with a relabelled copy, a relabelled copy
+    with one edge redirected, or an unrelated graph."""
+    n, pairs, no = draw(small_graph_data())
+    g1 = _build(n, pairs, no, "v", "e", "o")
+    how = draw(st.sampled_from(["relabel", "redirect", "unrelated"]))
+    if how == "unrelated":
+        return g1, _build(*draw(small_graph_data()), "w", "d", "p")
+    perm = draw(st.permutations(range(n)))
+    pairs2 = [(perm[s], perm[t]) for s, t in pairs]
+    if how == "redirect" and pairs2:
+        i = draw(st.integers(0, len(pairs2) - 1))
+        pairs2[i] = (pairs2[i][0], draw(st.integers(0, n - 1)))
+    edge_ids = draw(st.permutations(range(len(pairs2))))
+    return g1, _build(n, pairs2, no, "w", "d", "p", edge_ids)
+
+
+@given(graph_pairs())
+@example((  # needs the reverse-direction pair check
+    graph(["v0", "v1", "v2", "v3"], {"e0": ("v0", "v1"), "e1": ("v2", "v3")}),
+    graph(["w0", "w1", "w2", "w3"], {"d0": ("w0", "w2"), "d1": ("w3", "w1")})))
+def test_iso_check_agrees_with_brute_force(pair):
+    g1, g2 = pair
+    iso = iso_check(g1, g2)
+    assert (iso is not None) == _brute_force_isomorphic(g1, g2)
+    if iso is not None:
+        _assert_isomorphism(g1, g2, iso)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dpoembed import (
     EMPTY_GRAPH,
@@ -88,3 +88,42 @@ def test_components_partition_vertices_and_arcs(g):
 @given(small_graphs())
 def test_degree_sums_to_twice_edge_count(g):
     assert sum(degree(g, v) for v in g.vertices) == 2 * len(g.edges)
+
+
+def _scan_flags(g, v):
+    """The flags at v by a scan of every edge: the reference for the index."""
+    out = set()
+    for e, (s, t) in g.edges.items():
+        if s == v:
+            out.add(Flag(e, "src"))
+        if t == v:
+            out.add(Flag(e, "tgt"))
+    return frozenset(out)
+
+
+@given(small_graphs())
+def test_flags_at_and_degree_match_an_edge_scan(g):
+    for v in g.vertices:
+        expected = _scan_flags(g, v)
+        assert flags_at(g, v) == expected
+        assert degree(g, v) == len(expected)
+
+
+@given(small_graphs(), st.text(min_size=1, max_size=3))
+def test_unknown_vertex_raises_after_indexing(g, v):
+    assume(v not in g.vertices)
+    for w in g.vertices:
+        flags_at(g, w)
+    with pytest.raises(UnknownVertex):
+        flags_at(g, v)
+    with pytest.raises(UnknownVertex):
+        degree(g, v)
+
+
+@given(small_graphs())
+def test_index_leaves_equality_and_repr_unchanged(g):
+    twin = graph(g.vertices, dict(g.edges), g.circles)
+    before = repr(g)
+    assert set(g.incidence) == set(g.vertices)
+    assert g == twin and twin == g
+    assert repr(g) == before == repr(twin)
