@@ -234,6 +234,10 @@ def pairing_graph(span: PartitioningSpan) -> PairingGraph:
 def blue_half(be: BoundaryEmbedding) -> PairingGraph:
     """The half pairing graph a boundary embedding determines."""
     check_boundary_embedding(be)
+    return _blue_half(be)
+
+
+def _blue_half(be: BoundaryEmbedding) -> PairingGraph:
     b = be.b
     nodes = b.boundary_edges()
     polarity = {e: b.polarity(e) for e in nodes}
@@ -310,7 +314,11 @@ def enumerate_re_pairings(be: BoundaryEmbedding,
     """All solutions of the re-pairing problem, deduplicated, in
     deterministic order; the canonical solution comes first."""
     check_boundary_embedding(be)
-    half = blue_half(be)
+    return _enumerate(be, cap)
+
+
+def _enumerate(be: BoundaryEmbedding, cap: int = DEFAULT_SOLUTION_CAP):
+    half = _blue_half(be)
     classes = arc_classes(be)
     per_class = [
         list(dict.fromkeys(_class_arrangements(be, half, a, members)))
@@ -333,7 +341,11 @@ def enumerate_re_pairings(be: BoundaryEmbedding,
 def solve_re_pairing(be: BoundaryEmbedding) -> PairingGraph:
     """The canonical solution: identity arrangement in id order."""
     check_boundary_embedding(be)
-    half = blue_half(be)
+    return _solve(be)
+
+
+def _solve(be: BoundaryEmbedding) -> PairingGraph:
+    half = _blue_half(be)
     red = []
     for a, members in arc_classes(be).items():
         red.extend(next(_class_arrangements(be, half, a, members)))

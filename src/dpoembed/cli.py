@@ -46,9 +46,8 @@ from .serialize import (
     DocumentError,
     DocumentSyntaxError,
     ValidationFailed,
-    load_document,
-    parse_document,
     print_document,
+    read_document,
 )
 
 EXIT_OK = 0
@@ -74,13 +73,14 @@ def _emit(doc: Document) -> None:
     sys.stdout.write(print_document(doc))
 
 
-def _parse(path: str, lenient: bool, expect: Optional[tuple] = None) -> Document:
-    doc = parse_document(_read(path), lenient=lenient)
+def _parse(path: str, lenient: bool, expect: Optional[tuple] = None):
+    """(Document, loaded object): the document is loaded exactly once."""
+    doc, loaded = read_document(_read(path), lenient=lenient)
     if expect is not None and doc.kind not in expect:
         raise CliFailure(
             f"expected a document of kind {' or '.join(expect)}, "
             f"got {doc.kind}")
-    return doc
+    return doc, loaded
 
 
 def _need_rotations(rots, keys):
@@ -95,14 +95,13 @@ def _need_rotations(rots, keys):
 # subcommands
 
 def cmd_validate(args) -> int:
-    doc = _parse(args.file, args.lenient)
+    doc, _ = _parse(args.file, args.lenient)
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_classify_morphism(args) -> int:
-    doc = _parse(args.file, args.lenient, ("morphism",))
-    f, _, _ = load_document(doc, lenient=args.lenient)
+    _, (f, _, _) = _parse(args.file, args.lenient, ("morphism",))
     cls = classify(f)
     _emit(Document("classification", {
         "kind": cls.kind,
@@ -112,8 +111,7 @@ def cmd_classify_morphism(args) -> int:
 
 
 def cmd_pushout(args) -> int:
-    doc = _parse(args.file, args.lenient, ("span",))
-    span, rots = load_document(doc, lenient=args.lenient)
+    _, (span, rots) = _parse(args.file, args.lenient, ("span",))
     if args.rotations:
         _need_rotations(rots, ("boundary", "left", "context"))
         po, rs = rot_pushout(span, rots["boundary"], rots["left"],
@@ -141,8 +139,7 @@ def _pick_solution(be: BoundaryEmbedding, index: Optional[int]):
 
 
 def cmd_complement(args) -> int:
-    doc = _parse(args.file, args.lenient, ("boundary_embedding",))
-    be, rots = load_document(doc, lenient=args.lenient)
+    _, (be, rots) = _parse(args.file, args.lenient, ("boundary_embedding",))
     solution = _pick_solution(be, args.solution)
     if args.rotations:
         _need_rotations(rots, ("boundary", "left", "host"))
@@ -162,8 +159,7 @@ def cmd_complement(args) -> int:
 
 
 def cmd_repairings(args) -> int:
-    doc = _parse(args.file, args.lenient, ("boundary_embedding",))
-    be, rots = load_document(doc, lenient=args.lenient)
+    _, (be, rots) = _parse(args.file, args.lenient, ("boundary_embedding",))
     body = {"operation": "repairings",
             "blue_half": serialize.solution_to_body(blue_half(be))}
     if args.classify_genus or args.planar_only:
@@ -183,8 +179,7 @@ def cmd_repairings(args) -> int:
 
 
 def cmd_match(args) -> int:
-    doc = _parse(args.file, args.lenient, ("match",))
-    rule, host, _, rots = load_document(doc, lenient=args.lenient)
+    doc, (rule, host, _, rots) = _parse(args.file, args.lenient, ("match",))
     opts = MatchOptions(require_rotation_preservation=args.rotations)
     req = MatchRequest(rule, host, opts,
                        host_rotation=rots.get("host"),
@@ -197,8 +192,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    doc = _parse(args.file, args.lenient, ("match",))
-    rule, host, given, rots = load_document(doc, lenient=args.lenient)
+    _, (rule, host, given, rots) = _parse(args.file, args.lenient,
+                                          ("match",))
     if given:
         candidates = given
     else:
@@ -237,8 +232,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    doc = _parse(args.file, args.lenient, ("rotation_graph",))
-    _, rs = load_document(doc, lenient=args.lenient)
+    _, (_, rs) = _parse(args.file, args.lenient, ("rotation_graph",))
     _emit(serialize.surface_report_doc(genus_report(rs)))
     return EXIT_OK
 
@@ -275,18 +269,16 @@ def cmd_lawcheck(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    doc = _parse(args.file, args.lenient)
+    doc, loaded = _parse(args.file, args.lenient)
     if doc.kind in ("graph", "rotation_graph"):
-        g, rs = load_document(doc, lenient=args.lenient)
+        g, rs = loaded
         sys.stdout.write(dot.graph_to_dot(g, rs))
         return EXIT_OK
     if doc.kind == "span":
-        span, _ = load_document(doc, lenient=args.lenient)
-        sys.stdout.write(dot.span_to_dot(span))
+        sys.stdout.write(dot.span_to_dot(loaded[0]))
         return EXIT_OK
     if doc.kind == "boundary_embedding":
-        be, _ = load_document(doc, lenient=args.lenient)
-        sys.stdout.write(dot.pairing_to_dot(solve_re_pairing(be)))
+        sys.stdout.write(dot.pairing_to_dot(solve_re_pairing(loaded[0])))
         return EXIT_OK
     raise dot.UnsupportedKind(doc.kind)
 

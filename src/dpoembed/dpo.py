@@ -22,14 +22,14 @@ from .boundary import (
     PairingGraph,
     PartitioningSpan,
     SpanInvariantViolated,
-    blue_half,
+    _blue_half,
+    _enumerate,
+    _solve,
     check_boundary_embedding,
     check_span,
-    enumerate_re_pairings,
     red_matched_pairs,
     validate_boundary_embedding,
     red_unmatched_nodes,
-    solve_re_pairing,
     validate_boundary_graph,
 )
 
@@ -194,14 +194,20 @@ def pushout_complement(be: BoundaryEmbedding,
     boundary, wired up according to the given re-pairing solution."""
     check_boundary_embedding(be)
     if solution is None:
-        solution = solve_re_pairing(be)
+        solution = _solve(be)
     else:
-        half = blue_half(be)
+        half = _blue_half(be)
         if (solution.nodes != half.nodes
                 or solution.blue != half.blue
                 or dict(solution.polarity) != dict(half.polarity)):
             raise SolutionMismatch("solution does not extend this blue half")
+    return _complement(be, solution)
 
+
+def _complement(be: BoundaryEmbedding,
+                solution: PairingGraph) -> ComplementResult:
+    """`pushout_complement` of a checked embedding and a solution that
+    extends its blue half."""
     host, b = be.host, be.b
     matched_vertices = set(be.m.vmap.values())
     survivors = set(host.vertices) - matched_vertices
@@ -286,15 +292,15 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
         raise NotABoundaryEmbedding(errors)
 
     if solution_index is None:
-        solution = solve_re_pairing(be)
+        solution = _solve(be)
     else:
-        solutions = enumerate_re_pairings(be)
+        solutions = _enumerate(be)
         if not 0 <= solution_index < len(solutions):
             raise SolutionIndexOutOfRange(
                 f"{solution_index} not in [0, {len(solutions)})")
         solution = solutions[solution_index]
 
-    comp = pushout_complement(be, solution)
+    comp = _complement(be, solution)
     right_span = PartitioningSpan(rule.b, rule.right, comp.context,
                                   rule.r, comp.c)
     po = pushout(right_span)

@@ -4,9 +4,12 @@ host graph that form boundary embeddings.
 Deterministic id-order backtracking over the interior vertices of L
 (anchored at the lowest-id vertex of maximal degree), followed by
 enumeration of the per-vertex flag bijections and of the images of
-flagless arcs (self-loops at the boundary image and circles).  Every
-candidate is validated through `check_match`, so the search is sound by
-construction; completeness against brute force is checked in lawcheck.
+flagless arcs (self-loops at the boundary image and circles).  The rule
+is validated once per search; each candidate then gets only the checks
+that depend on it (`classify` of the match and the conditions on the
+boundary image and the interior).  `check_match` is the full naive
+check of one candidate; lawcheck's brute-force oracle uses it to check
+the search for soundness and completeness.
 """
 
 from __future__ import annotations
@@ -109,7 +112,11 @@ def find_matches(req: MatchRequest) -> List[Match]:
     left = rule.left
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
-    boundary_image = rule.l.vmap[rule.b.boundary]
+    # The rule's half of the boundary-embedding conditions, once per
+    # search: an invalid rule has no matches.
+    rule_ok = (not validate_rule(rule) and rule.l.dom == rule.b.graph
+               and rule.l.cod == left)
+    boundary_image = rule.l.v(rule.b.boundary)
     interior = sorted(v for v in left.vertices if v != boundary_image)
     if not interior and not left.edges and not left.circles:
         return []  # degenerate rule: nothing to anchor a match
@@ -131,12 +138,16 @@ def find_matches(req: MatchRequest) -> List[Match]:
 
     def record(vmap, amap):
         m = morphism(left, host, vmap, amap)
-        checked = check_match(rule, host, m)
-        if checked.ok and m.key() not in seen:
-            seen.add(m.key())
-            results.append(checked.match)
-            if len(results) > opts.max_matches:
-                raise MatchLimitExceeded(opts.max_matches)
+        if (not classify(m).is_embedding
+                or m.v(boundary_image) is not None
+                or any(m.v(v) is None for v in interior)
+                or m.key() in seen):
+            return
+        seen.add(m.key())
+        be = BoundaryEmbedding(rule.b, left, host, rule.l, m)
+        results.append(Match(m, be))
+        if len(results) > opts.max_matches:
+            raise MatchLimitExceeded(opts.max_matches)
 
     host_arcs = host.arcs()
     host_circles = host.sorted_circles()
@@ -193,7 +204,8 @@ def find_matches(req: MatchRequest) -> List[Match]:
             del vmap[v]
             used.remove(w)
 
-    backtrack(0, {}, set())
+    if rule_ok:
+        backtrack(0, {}, set())
 
     if opts.require_rotation_preservation:
         if req.left_rotation is None or req.host_rotation is None:

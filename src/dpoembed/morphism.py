@@ -118,11 +118,10 @@ def is_flag_injective(f: GraphMorphism) -> bool:
 def is_flag_surjective(f: GraphMorphism) -> bool:
     """Preimage-containment form: for defined v, the flags at f(v) are
     covered by the images of the flags at v."""
-    return not _surjectivity_failures(f)
+    return not _surjectivity_failures(f, flag_map(f))
 
 
-def _surjectivity_failures(f: GraphMorphism):
-    fm = flag_map(f)
+def _surjectivity_failures(f: GraphMorphism, fm: Dict[Flag, Flag]):
     out = []
     for v in f.dom.sorted_vertices():
         fv = f.v(v)
@@ -163,7 +162,8 @@ def classify(f: GraphMorphism) -> MorphismClass:
 
     violations.extend(_lax_violations(f))
 
-    for v, missing in _surjectivity_failures(f):
+    fm = flag_map(f)
+    for v, missing in _surjectivity_failures(f, fm):
         violations.append(("NotFlagSurjective",
                            f"vertex {v}: uncovered flags "
                            + ",".join(str(m) for m in missing)))
@@ -185,7 +185,6 @@ def classify(f: GraphMorphism) -> MorphismClass:
         if img in oimg:
             emb_violations.append(("CircleMapNotInjective", f"{oimg[img]},{o} -> {img}"))
         oimg[img] = o
-    fm = flag_map(f)
     vals = {}
     for fl in sorted(fm):
         img = fm[fl]

@@ -32,7 +32,13 @@ from .boundary import (
     PartitioningSpan,
     enumerate_re_pairings,
 )
-from .dpo import ComplementResult, PushoutResult, pushout, pushout_complement
+from .dpo import (
+    ComplementResult,
+    PushoutResult,
+    _complement,
+    pushout,
+    pushout_complement,
+)
 
 
 class RotationError(Exception):
@@ -138,6 +144,18 @@ def rot_complement(be: BoundaryEmbedding, rot_b: RotationSystem,
     """Complement whose surviving vertices keep the host rotations and
     whose dual boundary takes its rotation exactly from the boundary
     graph through c."""
+    _check_embedding_rotations(be, rot_b, rot_left, rot_host)
+    comp = pushout_complement(be, solution)
+    rs = _context_rotation(be, comp, rot_b, rot_host)
+    report = validate_rotation(rs)
+    if not report.ok:
+        raise RotationError(report.errors)
+    return comp, rs
+
+
+def _check_embedding_rotations(be: BoundaryEmbedding, rot_b: RotationSystem,
+                               rot_left: RotationSystem,
+                               rot_host: RotationSystem) -> None:
     for rs, g in ((rot_b, be.b.graph), (rot_left, be.left),
                   (rot_host, be.host)):
         if rs.graph != g or not validate_rotation(rs).ok:
@@ -147,7 +165,12 @@ def rot_complement(be: BoundaryEmbedding, rot_b: RotationSystem,
     if not check_rot_morphism(be.m, rot_left, rot_host):
         raise RotationError("m does not preserve rotations")
 
-    comp = pushout_complement(be, solution)
+
+def _context_rotation(be: BoundaryEmbedding, comp: ComplementResult,
+                      rot_b: RotationSystem,
+                      rot_host: RotationSystem) -> RotationSystem:
+    """The complement's rotation system, built from checked inputs and
+    not yet validated."""
     inc: Dict[str, Tuple[Flag, ...]] = {}
     g_fm = flag_map(comp.g)
     inv: Dict[Flag, Flag] = {w: fl for fl, w in g_fm.items()}
@@ -157,11 +180,7 @@ def rot_complement(be: BoundaryEmbedding, rot_b: RotationSystem,
     c_fm = flag_map(comp.c)
     inc[comp.dual_boundary] = tuple(
         c_fm[fl] for fl in rot_b.rotation(be.b.dual_boundary))
-    rs = rotation_system(comp.context, inc)
-    report = validate_rotation(rs)
-    if not report.ok:
-        raise RotationError(report.errors)
-    return comp, rs
+    return rotation_system(comp.context, inc)
 
 
 Dart = Tuple[str, str]  # (edge, "fwd" | "rev")
@@ -291,10 +310,16 @@ def classify_re_pairings(be: BoundaryEmbedding, rot_b: RotationSystem,
                          planar_only: bool = False,
                          cap: int = DEFAULT_SOLUTION_CAP):
     """Every re-pairing solution together with the genus report of its
-    rotation-equipped complement, in deterministic order."""
+    rotation-equipped complement, in deterministic order.
+
+    The embedding is checked once by the enumeration, then the rotation
+    data once; each solution then runs through the unchecked complement
+    core, and `genus_report` validates its constructed rotation once."""
+    solutions = enumerate_re_pairings(be, cap=cap)
+    _check_embedding_rotations(be, rot_b, rot_left, rot_host)
     out = []
-    for solution in enumerate_re_pairings(be, cap=cap):
-        _, rs = rot_complement(be, rot_b, rot_left, rot_host, solution)
+    for solution in solutions:
+        rs = _context_rotation(be, _complement(be, solution), rot_b, rot_host)
         report = genus_report(rs)
         if planar_only and not report.is_planar:
             continue

@@ -134,6 +134,16 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _string_map(body: Mapping, key: str, where: str) -> Dict[str, str]:
+    table = body[key]
+    if (not isinstance(table, dict)
+            or not all(isinstance(k, str) and isinstance(v, str)
+                       for k, v in table.items())):
+        raise FieldTypeError(
+            f"{where}.{key}: expected an object from strings to strings")
+    return table
+
+
 def graph_from_body(body: Mapping, where: str = "graph",
                     lenient: bool = False):
     """Returns (Graph, Optional[RotationSystem])."""
@@ -179,7 +189,8 @@ def map_from_body(body: Mapping, dom: Graph, cod: Graph, where: str,
                   lenient: bool = False) -> GraphMorphism:
     _check_fields(body, {"vertices", "arcs"}, {"vertices", "arcs"},
                   where, lenient)
-    return morphism(dom, cod, dict(body["vertices"]), dict(body["arcs"]))
+    return morphism(dom, cod, _string_map(body, "vertices", where),
+                    _string_map(body, "arcs", where))
 
 
 def boundary_to_body(b: BoundaryGraph,
@@ -210,18 +221,6 @@ def solution_to_body(p: PairingGraph) -> Dict[str, Any]:
         "blue": [list(pair) for pair in sorted(p.blue)],
         "red": [list(pair) for pair in sorted(p.red)],
     }
-
-
-def solution_from_body(body: Mapping, where: str = "solution",
-                       lenient: bool = False) -> PairingGraph:
-    _check_fields(body, {"nodes", "blue", "red"}, {"nodes", "blue", "red"},
-                  where, lenient)
-    nodes = tuple(sorted(body["nodes"]))
-    return PairingGraph(
-        nodes, dict(body["nodes"]),
-        frozenset(tuple(p) for p in body["blue"]),
-        frozenset(tuple(p) for p in body["red"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +341,16 @@ def print_document(doc: Document) -> str:
 
 
 def parse_document(text: str, lenient: bool = False) -> Document:
+    """Parse and validate a document; see `read_document`."""
+    return read_document(text, lenient)[0]
+
+
+def read_document(text: str, lenient: bool = False):
+    """Parse a document and load it, which is its validation pass.
+
+    Returns (Document, the `load_document` result), so a caller that
+    needs the domain object does not load it a second time.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -358,8 +367,7 @@ def parse_document(text: str, lenient: bool = False) -> Document:
     if allowed is not None:
         _check_fields(body, allowed, required, kind, lenient)
     doc = Document(kind, body)
-    load_document(doc, lenient=lenient)  # validation pass
-    return doc
+    return doc, load_document(doc, lenient=lenient)
 
 
 def load_document(doc: Document, lenient: bool = False):

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -67,3 +68,20 @@ def two_region_span(two_edge_boundary):
     ctx = graph(["wb", "w"], {"ce1": ("w", "wb"), "ce2": ("wb", "w")})
     c = morphism(b.graph, ctx, {"dbd": "wb"}, {"e1": "ce1", "e2": "ce2"})
     return PartitioningSpan(b, left, ctx, l, c)
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind `fn` in every dpoembed module that binds it to a wrapper
+    that counts its calls; returns the counter, a one-element list."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dpoembed":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -60,6 +60,29 @@ def test_malformed_vertex_ids_are_usage_errors(capsys, tmp_path, vertices):
     assert err.startswith("error:") and "vertices" in err
 
 
+@pytest.mark.parametrize("command,name,field,key,value", [
+    ("classify-morphism", "morphism_loop_to_circle.json", "map", "vertices",
+     "ab"),
+    ("repairings", "boundary_embedding_three_pairs.json", "left_map", "arcs",
+     ["x"]),
+    ("classify-morphism", "morphism_loop_to_circle.json", "map", "arcs",
+     {"a": 5}),
+    ("classify-morphism", "morphism_loop_to_circle.json", "map", "vertices",
+     {"a": ["a"]}),
+], ids=["string-vertices", "list-arcs", "integer-arc-image",
+        "list-vertex-image"])
+def test_malformed_maps_are_usage_errors(capsys, tmp_path, command, name,
+                                         field, key, value):
+    payload = json.loads((FIXTURES / name).read_text())
+    payload["body"][field][key] = value
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"{field}.{key}" in err
+
+
 def test_unknown_field_strict_then_lenient(capsys, tmp_path):
     payload = json.loads((FIXTURES / "graph_circle.json").read_text())
     payload["body"]["note"] = "extra"

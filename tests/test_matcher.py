@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpoembed import (
     Flag,
@@ -15,6 +16,9 @@ from dpoembed import (
 from dpoembed.boundary import BoundaryGraph
 from dpoembed.lawcheck import brute_force_matches
 from dpoembed.matcher import LNotConnected, MatchLimitExceeded
+from dpoembed.morphism import classify
+
+from conftest import count_calls
 
 
 def keys(matches):
@@ -148,3 +152,94 @@ def test_rotation_filter_matches_manual_check(rot_instance):
         rule, host, MatchOptions(require_rotation_preservation=True),
         host_rotation=rot_h, left_rotation=rot_l))
     assert keys(filtered) == keys(manual)
+
+
+def _boundary():
+    return BoundaryGraph(
+        graph(["bnd", "dbd"], {"e1": ("bnd", "dbd"), "e2": ("dbd", "bnd")}),
+        "bnd", "dbd")
+
+
+def _loop_rule():
+    b = _boundary()
+    left = graph(["v"], {"a": ("v", "v")})
+    l = morphism(b.graph, left, {"bnd": "v"}, {"e1": "a", "e2": "a"})
+    return RewriteRule(b, left, left, l, l)
+
+
+def _path_rule():
+    b = _boundary()
+    left = graph(["vb", "u"], {"x": ("vb", "u"), "y": ("u", "vb")})
+    l = morphism(b.graph, left, {"bnd": "vb"}, {"e1": "x", "e2": "y"})
+    return RewriteRule(b, left, left, l, l)
+
+
+def _cycle(n):
+    vs = [f"c{i:03d}" for i in range(n)]
+    return graph(vs, {f"k{i:03d}": (vs[i], vs[(i + 1) % n])
+                      for i in range(n)})
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_find_matches_classifies_each_candidate_once(monkeypatch, n):
+    # the rule is validated once per search, so classify runs once per
+    # candidate plus a constant (the rule's two legs)
+    import dpoembed.matcher as matcher
+    candidates = count_calls(monkeypatch, matcher.morphism)
+    classified = count_calls(monkeypatch, classify)
+    found = find_matches(MatchRequest(_path_rule(), _cycle(n)))
+    assert len(found) == n
+    assert candidates[0] >= n
+    assert classified[0] <= candidates[0] + 3
+
+
+def _invalid_rules():
+    b = _boundary()
+    left = graph(["v"], {"a": ("v", "v")})
+    l = morphism(b.graph, left, {"bnd": "v"}, {"e1": "a", "e2": "a"})
+    # right leg undefined on the boundary vertex: validate_rule fails
+    r = morphism(b.graph, left, {}, {"e1": "a", "e2": "a"})
+    # left leg over a copy of B with other edge ids: only the
+    # boundary-embedding half (leg domains) catches it
+    other = graph(["bnd", "dbd"], {"f1": ("bnd", "dbd"), "f2": ("dbd", "bnd")})
+    l_other = morphism(other, left, {"bnd": "v"}, {"f1": "a", "f2": "a"})
+    # left leg undefined on the boundary vertex
+    l_none = morphism(b.graph, left, {}, {"e1": "a", "e2": "a"})
+    return [RewriteRule(b, left, left, l, r),
+            RewriteRule(b, left, left, l_other, l_other),
+            RewriteRule(b, left, left, l_none, l)]
+
+
+@pytest.mark.parametrize("index", range(3),
+                         ids=["right-leg", "leg-domain", "left-leg"])
+def test_invalid_rule_has_no_matches(mixed_host, index):
+    rule = _invalid_rules()[index]
+    assert find_matches(MatchRequest(rule, mixed_host)) == []
+    assert brute_force_matches(rule, mixed_host) == []
+
+
+@st.composite
+def small_hosts(draw):
+    """Up to 4 vertices, 4 edges (self-loops and parallels allowed) and
+    one circle."""
+    n = draw(st.integers(0, 4))
+    pairs = (draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=4))
+             if n else [])
+    return graph([f"h{i}" for i in range(n)],
+                 {f"g{j}": (f"h{s}", f"h{t}")
+                  for j, (s, t) in enumerate(pairs)},
+                 [f"o{i}" for i in range(draw(st.integers(0, 1)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["loop", "path", "spoked"]), small_hosts())
+def test_find_matches_agrees_with_brute_force(which, host):
+    # the search no longer goes through check_match, the oracle does
+    rule = {"loop": _loop_rule, "path": _path_rule,
+            "spoked": lambda: _spoked_rule(_boundary())}[which]()
+    found = find_matches(MatchRequest(rule, host))
+    expected = brute_force_matches(rule, host)
+    assert keys(found) == keys(expected)
+    assert [mt.boundary_embedding for mt in found] == [
+        mt.boundary_embedding for mt in expected]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,8 +19,15 @@ from dpoembed import (
     trace_faces,
     validate_rotation,
 )
-from dpoembed.boundary import BoundaryEmbedding, BoundaryGraph, PartitioningSpan
+from dpoembed.boundary import (
+    BoundaryEmbedding,
+    BoundaryEmbeddingInvariantViolated,
+    BoundaryGraph,
+    PartitioningSpan,
+)
 from dpoembed.rotation import FWD, REV, RotationError
+
+from conftest import count_calls
 
 
 def bouquet(n):
@@ -213,3 +221,61 @@ def test_rot_complement_rejects_non_preserving_leg():
               Flag("a", "tgt"), Flag("b", "tgt")]})
     with pytest.raises(RotationError):
         rot_complement(be, rot_b, bad_l, rot_h)
+
+
+def _bouquet_on_circle(k):
+    """k loops at one vertex, all matched onto one host circle beside a
+    host triangle: (k-1)! re-pairing solutions."""
+    b_edges = {}
+    for j in range(k):
+        b_edges[f"p{j}"] = ("bnd", "dbd")
+        b_edges[f"n{j}"] = ("dbd", "bnd")
+    b = BoundaryGraph(graph(["bnd", "dbd"], b_edges), "bnd", "dbd")
+    left = graph(["v"], {f"a{j}": ("v", "v") for j in range(k)})
+    l = morphism(b.graph, left, {"bnd": "v"},
+                 {e: f"a{e[1:]}" for e in b_edges})
+    host = graph(["x", "y", "z"], {"f": ("x", "y"), "g": ("y", "z"),
+                                   "h": ("z", "x")}, ["o"])
+    m = morphism(left, host, {}, {f"a{j}": "o" for j in range(k)})
+    be = BoundaryEmbedding(b, left, host, l, m)
+    rot_b = rotation_system(b.graph, {
+        "bnd": [fl for j in range(k)
+                for fl in (Flag(f"p{j}", "src"), Flag(f"n{j}", "tgt"))],
+        "dbd": [fl for j in reversed(range(k))
+                for fl in (Flag(f"n{j}", "src"), Flag(f"p{j}", "tgt"))]})
+    rot_l = rotation_system(left, {
+        "v": [fl for j in range(k)
+              for fl in (Flag(f"a{j}", "src"), Flag(f"a{j}", "tgt"))]})
+    rot_h = rotation_system(host, {
+        "x": [Flag("f", "src"), Flag("h", "tgt")],
+        "y": [Flag("g", "src"), Flag("f", "tgt")],
+        "z": [Flag("h", "src"), Flag("g", "tgt")]})
+    return be, rot_b, rot_l, rot_h
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_classify_re_pairings_validates_each_rotation_once(monkeypatch, k):
+    # the three input rotations once, then each solution's constructed
+    # rotation once as a postcondition
+    args = _bouquet_on_circle(k)
+    calls = count_calls(monkeypatch, validate_rotation)
+    out = classify_re_pairings(*args)
+    assert len(out) == math.factorial(k - 1)
+    assert calls[0] <= len(out) + 3
+
+
+def test_classify_re_pairings_agrees_with_rot_complement():
+    be, rot_b, rot_l, rot_h = _bouquet_on_circle(4)
+    for solution, report in classify_re_pairings(be, rot_b, rot_l, rot_h):
+        _, rs = rot_complement(be, rot_b, rot_l, rot_h, solution)
+        assert report == genus_report(rs)
+
+
+def test_classify_re_pairings_checks_embedding_before_rotations():
+    be, rot_b, rot_l, rot_h = _bouquet_on_circle(4)
+    bad_be = BoundaryEmbedding(be.b, be.left, be.host, be.l,
+                               morphism(be.left, be.host, {}, {}))
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
+        classify_re_pairings(bad_be, rot_b, rot_l, rot_l)
+    with pytest.raises(RotationError):
+        classify_re_pairings(be, rot_b, rot_l, rot_l)
