@@ -63,15 +63,15 @@ from .dpo import (
     DpoError,
     PushoutResult,
     RewriteRule,
-    RewriteTrace,
     iso_check,
+    pick_solution,
     pushout,
     pushout_complement,
-    rewrite,
     validate_rule,
 )
 from .rotation import (
     ComponentReport,
+    RewriteTrace,
     RotationError,
     RotationSystem,
     SurfaceReport,
@@ -79,6 +79,7 @@ from .rotation import (
     classify_re_pairings,
     cyclic_equal,
     genus_report,
+    rewrite,
     rot_complement,
     rot_pushout,
     rotation_system,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .graph import Graph, is_connected, validate_graph
+from .graph import Graph, _union_find, is_connected, validate_graph
 from .morphism import GraphMorphism, classify
 
 POS = "+"
@@ -171,21 +171,10 @@ class PairingGraph:
 
     def components(self) -> List[Tuple[str, ...]]:
         """Connected components, each as a sorted node tuple."""
-        parent = {n: n for n in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in sorted(self.blue) + sorted(self.red):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        root = _union_find(self.nodes, itertools.chain(self.blue, self.red))
         groups: Dict[str, list] = {}
         for n in self.nodes:
-            groups.setdefault(find(n), []).append(n)
+            groups.setdefault(root[n], []).append(n)
         return [tuple(sorted(groups[r])) for r in sorted(groups)]
 
     def is_cycle_component(self, comp) -> bool:

@@ -13,18 +13,12 @@ from typing import Optional
 
 from . import dot, serialize
 from .boundary import (
-    BoundaryEmbedding,
     BoundaryError,
     blue_half,
     enumerate_re_pairings,
     solve_re_pairing,
 )
-from .dpo import (
-    DpoError,
-    PartitioningSpan,
-    pushout,
-    pushout_complement,
-)
+from .dpo import DpoError, pick_solution, pushout, pushout_complement
 from .lawcheck import (
     DEFAULT_BUDGET,
     GenBudget,
@@ -38,6 +32,7 @@ from .rotation import (
     RotationError,
     classify_re_pairings,
     genus_report,
+    rewrite,
     rot_complement,
     rot_pushout,
 )
@@ -88,7 +83,6 @@ def _need_rotations(rots, keys):
     if missing:
         raise CliFailure(
             "rotations required on: " + ", ".join(sorted(missing)))
-    return rots
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +122,9 @@ def cmd_pushout(args) -> int:
     return EXIT_OK
 
 
-def _pick_solution(be: BoundaryEmbedding, index: Optional[int]):
-    if index is None:
-        return solve_re_pairing(be)
-    solutions = enumerate_re_pairings(be)
-    if not 0 <= index < len(solutions):
-        raise CliFailure(
-            f"solution index {index} not in [0, {len(solutions)})")
-    return solutions[index]
-
-
 def cmd_complement(args) -> int:
     _, (be, rots) = _parse(args.file, args.lenient, ("boundary_embedding",))
-    solution = _pick_solution(be, args.solution)
+    solution = pick_solution(be, args.solution)
     if args.rotations:
         _need_rotations(rots, ("boundary", "left", "host"))
         comp, rs = rot_complement(be, rots["boundary"], rots["left"],
@@ -203,28 +187,17 @@ def cmd_rewrite(args) -> int:
         raise CliFailure(
             f"match index {args.match} not in [0, {len(candidates)})")
     m = candidates[args.match]
-    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
-    solution = _pick_solution(be, args.solution)
-
     if args.rotations:
         _need_rotations(rots, ("boundary", "left", "right", "host"))
-        comp, rs_ctx = rot_complement(be, rots["boundary"], rots["left"],
-                                      rots["host"], solution)
-        right_span = PartitioningSpan(rule.b, rule.right, comp.context,
-                                      rule.r, comp.c)
-        po, rs_out = rot_pushout(right_span, rots["boundary"],
-                                 rots["right"], rs_ctx)
-    else:
-        comp = pushout_complement(be, solution)
-        right_span = PartitioningSpan(rule.b, rule.right, comp.context,
-                                      rule.r, comp.c)
-        po, rs_out = pushout(right_span), None
+    _, trace = rewrite(rule, host, m, args.solution,
+                       rots if args.rotations else None)
+    po = trace.result_pushout
     _emit(Document("trace", {
         "operation": "rewrite",
         "match": serialize.map_to_body(m),
-        "solution": serialize.solution_to_body(solution),
-        "context": serialize.graph_to_body(comp.context),
-        "result": serialize.graph_to_body(po.graph, rs_out),
+        "solution": serialize.solution_to_body(trace.solution),
+        "context": serialize.graph_to_body(trace.complement.context),
+        "result": serialize.graph_to_body(po.graph, trace.result_rotation),
         "right_leg": serialize.map_to_body(po.m),
         "context_leg": serialize.map_to_body(po.g),
     }))

@@ -3,10 +3,10 @@ Document format is the source of truth."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .graph import Graph
-from .boundary import BoundaryGraph, PairingGraph, PartitioningSpan
+from .boundary import PairingGraph, PartitioningSpan
 from .rotation import RotationSystem
 
 
@@ -22,24 +22,17 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _vertex_line(v: str, rotations: Optional[RotationSystem],
-                 special: Optional[str] = None) -> str:
-    attrs = []
-    if special:
-        attrs.append(f"shape={special}")
-    if rotations is not None:
-        order = " ".join(str(fl) for fl in rotations.rotation(v))
-        attrs.append(f"label={_quote(v + chr(10) + '(' + order + ')')}")
-    body = f" [{', '.join(attrs)}]" if attrs else ""
-    return f"  {_quote(v)}{body};"
+def _vertex_line(v: str, rotations: Optional[RotationSystem]) -> str:
+    if rotations is None:
+        return f"  {_quote(v)};"
+    order = " ".join(str(fl) for fl in rotations.rotation(v))
+    return f"  {_quote(v)} [label={_quote(v + chr(10) + '(' + order + ')')}];"
 
 
-def graph_to_dot(g: Graph, rotations: Optional[RotationSystem] = None,
-                 name: str = "G", boundary_vertices=()) -> str:
-    lines = [f"digraph {_quote(name)} {{"]
+def graph_to_dot(g: Graph, rotations: Optional[RotationSystem] = None) -> str:
+    lines = ['digraph "G" {']
     for v in g.sorted_vertices():
-        special = "doubleoctagon" if v in boundary_vertices else None
-        lines.append(_vertex_line(v, rotations, special))
+        lines.append(_vertex_line(v, rotations))
     for e in g.sorted_edges():
         lines.append(f"  {_quote(g.source(e))} -> {_quote(g.target(e))}"
                      f" [label={_quote(e)}];")
@@ -48,12 +41,6 @@ def graph_to_dot(g: Graph, rotations: Optional[RotationSystem] = None,
                      f" label={_quote(o)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def boundary_to_dot(b: BoundaryGraph,
-                    rotations: Optional[RotationSystem] = None) -> str:
-    return graph_to_dot(b.graph, rotations, name="B",
-                        boundary_vertices=(b.boundary, b.dual_boundary))
 
 
 def span_to_dot(span: PartitioningSpan) -> str:

@@ -1,5 +1,7 @@
 """The rewriting engine: pushouts of partitioning spans, pushout
-complements of boundary embeddings, and full DPO rewrite steps.
+complements of boundary embeddings, rewrite rules and the choice of a
+re-pairing solution.  The full DPO step, `rotation.rewrite`, composes
+these with optional rotation systems.
 
 All maps are explicit tables; embeddings are never treated as
 inclusions.  Pushout element ids are prefixed by side ("L." / "C."),
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import Graph, graph, induced_subgraph, validate_graph
+from .graph import Graph, _union_find, graph, induced_subgraph, validate_graph
 from .morphism import GraphMorphism, classify, morphism
 from .boundary import (
     POS,
@@ -28,7 +30,6 @@ from .boundary import (
     check_boundary_embedding,
     check_span,
     red_matched_pairs,
-    validate_boundary_embedding,
     red_unmatched_nodes,
     validate_boundary_graph,
 )
@@ -82,52 +83,32 @@ def pushout(span: PartitioningSpan) -> PushoutResult:
     vb_c = span.c.vmap[b.dual_boundary]
 
     members = [("L", a) for a in left.arcs()] + [("C", a) for a in ctx.arcs()]
-    parent = {m: m for m in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in b.boundary_edges():
-        ra = find(("L", span.l.amap[e]))
-        rb = find(("C", span.c.amap[e]))
-        if ra != rb:
-            keep, drop = sorted((ra, rb), key=_side_key)
-            parent[drop] = keep
-
-    classes: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
-    for m in members:
-        classes.setdefault(find(m), []).append(m)
-
-    def class_id(root) -> str:
-        side, ident = min(classes[root], key=_side_key)
-        return f"{side}.{ident}"
+    root = _union_find(
+        members,
+        ((("L", span.l.amap[e]), ("C", span.c.amap[e]))
+         for e in b.boundary_edges()),
+        key=_side_key)
+    # a class is named after its least member, which is its root
+    cid_of = {m: f"{side}.{ident}" for m, (side, ident) in root.items()}
 
     vertices = {f"L.{v}" for v in left.vertices if v != vb_l} | {
         f"C.{v}" for v in ctx.vertices if v != vb_c
     }
 
-    sources: Dict[str, set] = {}
-    targets: Dict[str, set] = {}
-    for root, mems in classes.items():
-        cid = class_id(root)
-        sources.setdefault(cid, set())
-        targets.setdefault(cid, set())
-        for side, a in mems:
-            g_side, boundary_v = (left, vb_l) if side == "L" else (ctx, vb_c)
-            if g_side.is_edge(a):
-                s, t = g_side.edges[a]
-                if s != boundary_v:
-                    sources[cid].add(f"{side}.{s}")
-                if t != boundary_v:
-                    targets[cid].add(f"{side}.{t}")
+    sources: Dict[str, set] = {cid: set() for cid in cid_of.values()}
+    targets: Dict[str, set] = {cid: set() for cid in cid_of.values()}
+    for (side, a), cid in cid_of.items():
+        g_side, boundary_v = (left, vb_l) if side == "L" else (ctx, vb_c)
+        if g_side.is_edge(a):
+            s, t = g_side.edges[a]
+            if s != boundary_v:
+                sources[cid].add(f"{side}.{s}")
+            if t != boundary_v:
+                targets[cid].add(f"{side}.{t}")
 
     edges = {}
     circles = set()
-    for root in classes:
-        cid = class_id(root)
+    for cid in sources:
         src, tgt = sources[cid], targets[cid]
         # Single-valuedness is a theorem about partitioning spans; a
         # failure here means the span invariants were violated.
@@ -147,7 +128,6 @@ def pushout(span: PartitioningSpan) -> PushoutResult:
     if not report.ok:
         raise SpanInvariantViolated(list(report.errors))
 
-    cid_of = {m: class_id(find(m)) for m in members}
     m_map = morphism(
         left, result,
         {v: f"L.{v}" for v in left.vertices if v != vb_l},
@@ -185,6 +165,24 @@ def _fresh(base: str, used) -> str:
     while name in used:
         name += "+"
     return name
+
+
+def pick_solution(be: BoundaryEmbedding,
+                  index: Optional[int] = None) -> PairingGraph:
+    """The canonical re-pairing solution, or the `index`-th of all
+    solutions in enumeration order."""
+    check_boundary_embedding(be)
+    return _pick(be, index)
+
+
+def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
+    if index is None:
+        return _solve(be)
+    solutions = _enumerate(be)
+    if not 0 <= index < len(solutions):
+        raise SolutionIndexOutOfRange(
+            f"solution index {index} not in [0, {len(solutions)})")
+    return solutions[index]
 
 
 def pushout_complement(be: BoundaryEmbedding,
@@ -271,41 +269,6 @@ def validate_rule(rule: RewriteRule):
         if not classify(leg).is_embedding:
             errors.append(("LegNotEmbedding", name))
     return errors
-
-
-@dataclass(frozen=True)
-class RewriteTrace:
-    boundary: BoundaryGraph
-    match: GraphMorphism
-    solution: PairingGraph
-    complement: ComplementResult
-    result_pushout: PushoutResult
-
-
-def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
-            solution_index: Optional[int] = None):
-    """One DPO step: complement of the match, then pushout against the
-    right-hand side.  Returns (result graph, trace)."""
-    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
-    errors = validate_rule(rule) + validate_boundary_embedding(be)
-    if errors:
-        raise NotABoundaryEmbedding(errors)
-
-    if solution_index is None:
-        solution = _solve(be)
-    else:
-        solutions = _enumerate(be)
-        if not 0 <= solution_index < len(solutions):
-            raise SolutionIndexOutOfRange(
-                f"{solution_index} not in [0, {len(solutions)})")
-        solution = solutions[solution_index]
-
-    comp = _complement(be, solution)
-    right_span = PartitioningSpan(rule.b, rule.right, comp.context,
-                                  rule.r, comp.c)
-    po = pushout(right_span)
-    trace = RewriteTrace(rule.b, match, solution, comp, po)
-    return po.graph, trace
 
 
 def iso_check(g1: Graph, g2: Graph, max_vertices: int = 64):

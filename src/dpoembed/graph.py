@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 SRC = "src"
 TGT = "tgt"
@@ -184,13 +184,11 @@ def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:
     return graph(keep, edges)
 
 
-def connected_components(g: Graph):
-    """Partition vertices and arcs by edge adjacency.
-
-    Returns a list of (vertex frozenset, arc frozenset) pairs in
-    deterministic order.  Each circle is a component of its own.
-    """
-    parent = {v: v for v in g.vertices}
+def _union_find(items, pairs, key=None):
+    """The classes of `items` under the equivalence that `pairs`
+    generate: a dict from each item to the least member (by `key`) of
+    its class.  Each union keeps the lesser root, so roots stay least."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -198,23 +196,29 @@ def connected_components(g: Graph):
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+            keep, drop = sorted((ra, rb), key=key)
+            parent[drop] = keep
+    return {x: find(x) for x in parent}
 
-    for e in g.sorted_edges():
-        s, t = g.edges[e]
-        union(s, t)
 
-    groups = {}
-    for v in g.sorted_vertices():
-        groups.setdefault(find(v), set()).add(v)
-    comps = []
-    for root in sorted(groups):
-        vs = groups[root]
-        arcs = {e for e in g.edges if g.source(e) in vs}
-        comps.append((frozenset(vs), frozenset(arcs)))
+def connected_components(g: Graph):
+    """Partition vertices and arcs by edge adjacency.
+
+    Returns a list of (vertex frozenset, arc frozenset) pairs in
+    deterministic order.  Each circle is a component of its own.
+    O(V + E): each edge joins the component of its source in one pass.
+    """
+    root = _union_find(g.vertices, g.edges.values())
+    groups = {r: (set(), set()) for r in set(root.values())}
+    for v, r in root.items():
+        groups[r][0].add(v)
+    for e, (s, _) in g.edges.items():
+        groups[root[s]][1].add(e)
+    comps = [(frozenset(vs), frozenset(arcs))
+             for _, (vs, arcs) in sorted(groups.items())]
     for o in g.sorted_circles():
         comps.append((frozenset(), frozenset([o])))
     return comps

@@ -15,10 +15,10 @@ the search for soundness and completeness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import SRC, TGT, Flag, Graph, degree, flags_at, is_connected
+from .graph import SRC, TGT, Graph, degree, flags_at, is_connected
 from .morphism import GraphMorphism, classify, morphism
 from .boundary import BoundaryEmbedding, validate_boundary_embedding
 from .dpo import RewriteRule, validate_rule

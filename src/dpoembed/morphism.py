@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from .graph import SRC, TGT, Flag, Graph, degree, flags_at, graph
+from .graph import SRC, TGT, Flag, Graph, flags_at, graph
 
 INVALID = "invalid"
 MORPHISM = "morphism"
@@ -125,7 +125,7 @@ def _surjectivity_failures(f: GraphMorphism, fm: Dict[Flag, Flag]):
     out = []
     for v in f.dom.sorted_vertices():
         fv = f.v(v)
-        if fv is None:
+        if fv not in f.cod.vertices:  # undefined, or a bad entry
             continue
         image = {fm[fl] for fl in flags_at(f.dom, v) if fl in fm}
         missing = flags_at(f.cod, fv) - image

@@ -1,5 +1,6 @@
-"""Rotation systems: cyclic flag orders, face tracing, genus, and
-rotation-aware pushouts and complements.
+"""Rotation systems: cyclic flag orders, face tracing, genus,
+rotation-aware pushouts and complements, and the DPO rewrite step,
+which carries rotations through both squares when given them.
 
 A rotation system fixes, at every vertex, a cyclic order of the
 incident flags, which determines an embedding of each connected
@@ -23,21 +24,26 @@ from .graph import (
     flags_at,
     validate_graph,
 )
-from .morphism import GraphMorphism, flag_map, is_flag_surjective
+from .morphism import GraphMorphism, flag_map
 from .boundary import (
     BoundaryEmbedding,
-    CombinatorialLimitExceeded,
+    BoundaryGraph,
     DEFAULT_SOLUTION_CAP,
     PairingGraph,
     PartitioningSpan,
     enumerate_re_pairings,
+    validate_boundary_embedding,
 )
 from .dpo import (
     ComplementResult,
+    NotABoundaryEmbedding,
     PushoutResult,
+    RewriteRule,
     _complement,
+    _pick,
     pushout,
     pushout_complement,
+    validate_rule,
 )
 
 
@@ -193,11 +199,6 @@ def _arrival_flag(g: Graph, d: Dart) -> Flag:
     return Flag(e, TGT) if direction == FWD else Flag(e, SRC)
 
 
-def _arrival_vertex(g: Graph, d: Dart) -> str:
-    e, direction = d
-    return g.target(e) if direction == FWD else g.source(e)
-
-
 def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
     """Orbits of the next-dart permutation.
 
@@ -325,3 +326,47 @@ def classify_re_pairings(be: BoundaryEmbedding, rot_b: RotationSystem,
             continue
         out.append((solution, report))
     return out
+
+
+@dataclass(frozen=True)
+class RewriteTrace:
+    boundary: BoundaryGraph
+    match: GraphMorphism
+    solution: PairingGraph
+    complement: ComplementResult
+    result_pushout: PushoutResult
+    context_rotation: Optional[RotationSystem] = None
+    result_rotation: Optional[RotationSystem] = None
+
+
+def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
+            solution_index: Optional[int] = None,
+            rotations: Optional[Mapping[str, RotationSystem]] = None):
+    """One DPO step: complement of the match, then pushout against the
+    right-hand side.  Returns (result graph, trace).
+
+    The rule and the embedding are checked once and the re-pairing
+    solution is picked once (`dpo.pick_solution`).  With `rotations`,
+    keyed "boundary", "left", "right" and "host", the context takes its
+    rotation as in `rot_complement` and the result as in `rot_pushout`,
+    which validates the context rotation.
+    """
+    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
+    errors = validate_rule(rule) + validate_boundary_embedding(be)
+    if errors:
+        raise NotABoundaryEmbedding(errors)
+    solution = _pick(be, solution_index)
+    if rotations is not None:
+        rot_b, rot_host = rotations["boundary"], rotations["host"]
+        _check_embedding_rotations(be, rot_b, rotations["left"], rot_host)
+    comp = _complement(be, solution)
+    right_span = PartitioningSpan(rule.b, rule.right, comp.context,
+                                  rule.r, comp.c)
+    if rotations is None:
+        po, rs_ctx, rs_out = pushout(right_span), None, None
+    else:
+        rs_ctx = _context_rotation(be, comp, rot_b, rot_host)
+        po, rs_out = rot_pushout(right_span, rot_b, rotations["right"],
+                                 rs_ctx)
+    trace = RewriteTrace(rule.b, match, solution, comp, po, rs_ctx, rs_out)
+    return po.graph, trace

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from .graph import SRC, TGT, Flag, Graph, graph, validate_graph
 from .morphism import GraphMorphism, morphism
@@ -27,20 +27,6 @@ from .dpo import RewriteRule, validate_rule
 from .rotation import RotationSystem, SurfaceReport, rotation_system, validate_rotation
 
 FORMAT_VERSION = "1"
-
-KINDS = (
-    "graph",
-    "rotation_graph",
-    "morphism",
-    "rule",
-    "span",
-    "boundary_embedding",
-    "match",
-    "trace",
-    "classification",
-    "surface_report",
-    "law_report",
-)
 
 
 class DocumentError(Exception):
@@ -84,7 +70,7 @@ def _check_fields(obj: Mapping, allowed, required, where: str,
     for key in obj:
         if key not in allowed and not lenient:
             raise UnknownField(f"{where}: unknown field {key!r}")
-    for key in required:
+    for key in sorted(required):
         if key not in obj:
             raise ValidationFailed(f"{where}: missing field {key!r}")
 
@@ -208,7 +194,9 @@ def boundary_from_body(body: Mapping, where: str = "boundary",
                   {"vertices", "edges"} | extra, where, lenient)
     inner = {k: v for k, v in body.items() if k not in extra}
     g, rs = graph_from_body(inner, where, lenient)
-    b = BoundaryGraph(g, body["boundary_vertex"], body["dual_boundary_vertex"])
+    b = BoundaryGraph(
+        g, _string(body["boundary_vertex"], f"{where}.boundary_vertex"),
+        _string(body["dual_boundary_vertex"], f"{where}.dual_boundary_vertex"))
     errors = validate_boundary_graph(b)
     if errors:
         raise ValidationFailed(f"{where}: {errors}")
@@ -238,18 +226,6 @@ def morphism_doc(f: GraphMorphism,
         "dom": graph_to_body(f.dom, dom_rot),
         "cod": graph_to_body(f.cod, cod_rot),
         "map": map_to_body(f),
-    })
-
-
-def rule_doc(rule: RewriteRule, rots: Optional[Mapping[str, RotationSystem]] = None
-             ) -> Document:
-    rots = rots or {}
-    return Document("rule", {
-        "boundary": boundary_to_body(rule.b, rots.get("boundary")),
-        "left": graph_to_body(rule.left, rots.get("left")),
-        "right": graph_to_body(rule.right, rots.get("right")),
-        "left_map": map_to_body(rule.l),
-        "right_map": map_to_body(rule.r),
     })
 
 
@@ -360,7 +336,7 @@ def read_document(text: str, lenient: bool = False):
     if payload["format_version"] != FORMAT_VERSION:
         raise VersionMismatch(payload["format_version"])
     kind = payload["kind"]
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
         raise ValidationFailed(f"unknown document kind {kind!r}")
     body = payload["body"]
     allowed, required = _BODY_FIELDS[kind]
@@ -368,6 +344,17 @@ def read_document(text: str, lenient: bool = False):
         _check_fields(body, allowed, required, kind, lenient)
     doc = Document(kind, body)
     return doc, load_document(doc, lenient=lenient)
+
+
+# kind -> (second graph, its map, whether that map starts at the left
+# graph rather than at B, constructor, validator)
+_SPAN_SHAPED = {
+    "rule": ("right", "right_map", False, RewriteRule, validate_rule),
+    "span": ("context", "context_map", False, PartitioningSpan,
+             validate_span),
+    "boundary_embedding": ("host", "match_map", True, BoundaryEmbedding,
+                           validate_boundary_embedding),
+}
 
 
 def load_document(doc: Document, lenient: bool = False):
@@ -389,52 +376,32 @@ def load_document(doc: Document, lenient: bool = False):
         cod, cod_rot = graph_from_body(body["cod"], "cod", lenient)
         f = map_from_body(body["map"], dom, cod, "map", lenient)
         return f, dom_rot, cod_rot
-    if doc.kind == "rule":
+    if doc.kind in _SPAN_SHAPED:
+        # B -l-> L and a second graph reached from B (or from L)
+        other, other_map, from_left, make, validate = _SPAN_SHAPED[doc.kind]
         b, b_rot = boundary_from_body(body["boundary"], "boundary", lenient)
         left, l_rot = graph_from_body(body["left"], "left", lenient)
-        right, r_rot = graph_from_body(body["right"], "right", lenient)
-        rule = RewriteRule(
-            b, left, right,
+        g, g_rot = graph_from_body(body[other], other, lenient)
+        obj = make(
+            b, left, g,
             map_from_body(body["left_map"], b.graph, left, "left_map", lenient),
-            map_from_body(body["right_map"], b.graph, right, "right_map", lenient),
+            map_from_body(body[other_map], left if from_left else b.graph, g,
+                          other_map, lenient),
         )
-        errors = validate_rule(rule)
+        errors = validate(obj)
         if errors:
-            raise ValidationFailed(f"rule: {errors}")
-        return rule, {"boundary": b_rot, "left": l_rot, "right": r_rot}
-    if doc.kind == "span":
-        b, b_rot = boundary_from_body(body["boundary"], "boundary", lenient)
-        left, l_rot = graph_from_body(body["left"], "left", lenient)
-        ctx, c_rot = graph_from_body(body["context"], "context", lenient)
-        span = PartitioningSpan(
-            b, left, ctx,
-            map_from_body(body["left_map"], b.graph, left, "left_map", lenient),
-            map_from_body(body["context_map"], b.graph, ctx, "context_map",
-                          lenient),
-        )
-        errors = validate_span(span)
-        if errors:
-            raise ValidationFailed(f"span: {errors}")
-        return span, {"boundary": b_rot, "left": l_rot, "context": c_rot}
-    if doc.kind == "boundary_embedding":
-        b, b_rot = boundary_from_body(body["boundary"], "boundary", lenient)
-        left, l_rot = graph_from_body(body["left"], "left", lenient)
-        host, h_rot = graph_from_body(body["host"], "host", lenient)
-        be = BoundaryEmbedding(
-            b, left, host,
-            map_from_body(body["left_map"], b.graph, left, "left_map", lenient),
-            map_from_body(body["match_map"], left, host, "match_map", lenient),
-        )
-        errors = validate_boundary_embedding(be)
-        if errors:
-            raise ValidationFailed(f"boundary_embedding: {errors}")
-        return be, {"boundary": b_rot, "left": l_rot, "host": h_rot}
+            raise ValidationFailed(f"{doc.kind}: {errors}")
+        return obj, {"boundary": b_rot, "left": l_rot, other: g_rot}
     if doc.kind == "match":
+        _check_fields(body["rule"], *_BODY_FIELDS["rule"], "rule", lenient)
         rule, rots = load_document(Document("rule", body["rule"]), lenient)
         host, h_rot = graph_from_body(body["host"], "host", lenient)
+        entries = body.get("matches", [])
+        if not isinstance(entries, list):
+            raise FieldTypeError("match.matches: expected a list")
         matches = [
             map_from_body(entry, rule.left, host, f"matches[{i}]", lenient)
-            for i, entry in enumerate(body.get("matches", []))
+            for i, entry in enumerate(entries)
         ]
         rots["host"] = h_rot
         return rule, host, matches, rots

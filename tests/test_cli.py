@@ -83,6 +83,63 @@ def test_malformed_maps_are_usage_errors(capsys, tmp_path, command, name,
     assert err.startswith("error:") and f"{field}.{key}" in err
 
 
+@pytest.mark.parametrize("command,name,path,value,field", [
+    ("repairings", "boundary_embedding_three_pairs.json",
+     ("boundary", "boundary_vertex"), ["x"], "boundary.boundary_vertex"),
+    ("repairings", "boundary_embedding_three_pairs.json",
+     ("boundary", "dual_boundary_vertex"), {"a": 1},
+     "boundary.dual_boundary_vertex"),
+    ("repairings", "boundary_embedding_three_pairs.json",
+     ("boundary", "boundary_vertex"), 3, "boundary.boundary_vertex"),
+    ("rewrite", "match_identity_loop.json", ("matches",), 5, "match.matches"),
+    ("rewrite", "match_identity_loop.json", ("matches",), "ab",
+     "match.matches"),
+], ids=["list-boundary-vertex", "object-dual-boundary-vertex",
+        "integer-boundary-vertex", "integer-matches", "string-matches"])
+def test_malformed_boundary_vertices_and_matches_are_usage_errors(
+        capsys, tmp_path, command, name, path, value, field):
+    payload = json.loads((FIXTURES / name).read_text())
+    target = payload["body"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("rule,message", [
+    (5, "rule: expected an object"), ({}, "rule: missing field 'boundary'"),
+], ids=["integer", "empty"])
+def test_malformed_rule_in_a_match_document_is_an_error(capsys, tmp_path,
+                                                        rule, message):
+    payload = json.loads((FIXTURES / "match_identity_loop.json").read_text())
+    payload["body"]["rule"] = rule
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rewrite", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_vertex_image_outside_the_codomain_is_classified_invalid(
+        capsys, tmp_path):
+    payload = json.loads(
+        (FIXTURES / "morphism_loop_to_circle.json").read_text())
+    payload["body"]["map"]["vertices"] = {"v": "zz"}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "classify-morphism", str(doc))
+    assert code == 0 and err == ""
+    body = json.loads(out)["body"]
+    assert body["kind"] == "invalid"
+    assert ["NotTotalOnArcs", "bad vertex entry v"] in body["violations"]
+
+
 def test_unknown_field_strict_then_lenient(capsys, tmp_path):
     payload = json.loads((FIXTURES / "graph_circle.json").read_text())
     payload["body"]["note"] = "extra"
@@ -198,6 +255,31 @@ def test_rewrite_match_index_out_of_range(capsys):
                        fixture("match_identity_loop.json"))
     assert code == 1
     assert "match index" in err
+
+
+def test_rewrite_with_rotations_keeps_the_genus(capsys, tmp_path):
+    code, out, err = run(capsys, "rewrite", "--rotations",
+                         fixture("match_rotation_loop.json"))
+    assert code == 0 and err == ""
+    result = json.loads(out)["body"]["result"]
+    assert "rotations" in result
+    doc = tmp_path / "result.json"
+    doc.write_text(json.dumps({"format_version": "1",
+                               "kind": "rotation_graph", "body": result}))
+    genera = []
+    for path in (fixture("rotation_bouquet_interleaved.json"), str(doc)):
+        code, out, _ = run(capsys, "genus", path)
+        assert code == 0
+        genera.append(json.loads(out)["body"]["max_genus"])
+    assert genera == [1, 1]
+
+
+def test_rewrite_with_rotations_solution_out_of_range(capsys):
+    code, out, err = run(capsys, "rewrite", "--rotations", "--solution", "5",
+                         fixture("match_rotation_loop.json"))
+    assert code == 1
+    assert out == ""
+    assert "solution index" in err
 
 
 @pytest.mark.parametrize("name,expected_faces,expected_genus", [

@@ -15,9 +15,11 @@ from dpoembed import (
     graph,
     iso_check,
     morphism,
+    pick_solution,
     pushout,
     pushout_complement,
     rewrite,
+    solve_re_pairing,
     validate_rule,
 )
 from dpoembed.dpo import (
@@ -116,8 +118,19 @@ def test_rewrite_rejects_non_match(loop_rule, mixed_host):
 def test_rewrite_solution_index_out_of_range(loop_rule, mixed_host):
     from dpoembed import MatchRequest, find_matches
     mt = find_matches(MatchRequest(loop_rule, mixed_host))[0]
-    with pytest.raises(SolutionIndexOutOfRange):
+    with pytest.raises(SolutionIndexOutOfRange,
+                       match=r"^solution index 99 not in \[0, 1\)$"):
         rewrite(loop_rule, mixed_host, mt.m, solution_index=99)
+
+
+def test_pick_solution_is_canonical_or_indexed(circle_host_embedding):
+    be = circle_host_embedding
+    solutions = enumerate_re_pairings(be)
+    assert pick_solution(be).key() == solve_re_pairing(be).key()
+    for i, solution in enumerate(solutions):
+        assert pick_solution(be, i).key() == solution.key()
+    with pytest.raises(SolutionIndexOutOfRange, match="solution index"):
+        pick_solution(be, len(solutions))
 
 
 def test_validate_rule(loop_rule):

@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dpoembed import (
     EMPTY_GRAPH,
@@ -83,6 +85,49 @@ def test_components_partition_vertices_and_arcs(g):
     all_arcs = [a for _, arcs in comps for a in arcs]
     assert sorted(all_vs) == sorted(g.vertices)
     assert sorted(all_arcs) == sorted(g.arcs())
+
+
+def _bfs_components(g):
+    """Components by breadth-first search over edges taken both ways:
+    the reference for the union-find."""
+    adjacent = {v: [] for v in g.vertices}
+    for s, t in g.edges.values():
+        adjacent[s].append(t)
+        adjacent[t].append(s)
+    seen, comps = set(), []
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            for w in adjacent[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        vs = frozenset(queue)
+        arcs = frozenset(e for e, (s, _) in g.edges.items() if s in vs)
+        comps.append((vs, arcs))
+    return comps + [(frozenset(), frozenset([o])) for o in sorted(g.circles)]
+
+
+@given(small_graphs())
+@example(graph(["a", "b", "c", "d"],
+               {"l": ("a", "a"), "p": ("b", "c"), "q": ("c", "b")}, ["o"]))
+def test_components_equal_a_breadth_first_search(g):
+    assert connected_components(g) == _bfs_components(g)
+
+
+def test_components_take_one_pass_over_the_edges():
+    # a per-component scan of every edge takes seconds here
+    n = 4000
+    g = graph([f"v{i:05d}" for i in range(2 * n)],
+              {f"e{i:05d}": (f"v{2 * i:05d}", f"v{2 * i + 1:05d}")
+               for i in range(n)})
+    start = time.perf_counter()
+    comps = connected_components(g)
+    assert time.perf_counter() - start < 0.5
+    assert len(comps) == n
 
 
 @given(small_graphs())

@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from dpoembed import (
     Flag,
+    MatchRequest,
     check_rot_morphism,
     classify_re_pairings,
     cyclic_equal,
+    find_matches,
     genus_report,
     graph,
     identity,
     morphism,
+    rewrite,
     rot_complement,
     rot_pushout,
     rotation_system,
@@ -26,8 +29,9 @@ from dpoembed.boundary import (
     PartitioningSpan,
 )
 from dpoembed.rotation import FWD, REV, RotationError
+from dpoembed.serialize import read_document
 
-from conftest import count_calls
+from conftest import FIXTURES, count_calls
 
 
 def bouquet(n):
@@ -279,3 +283,26 @@ def test_classify_re_pairings_checks_embedding_before_rotations():
         classify_re_pairings(bad_be, rot_b, rot_l, rot_l)
     with pytest.raises(RotationError):
         classify_re_pairings(be, rot_b, rot_l, rot_l)
+
+
+def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
+    _, (rule, host, _, rots) = read_document(
+        (FIXTURES / "match_rotation_loop.json").read_text())
+    matches = find_matches(MatchRequest(rule, host))
+    assert matches
+    for mt in matches:
+        result, trace = rewrite(rule, host, mt.m, rotations=rots)
+        be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, mt.m)
+        comp, rs_ctx = rot_complement(be, rots["boundary"], rots["left"],
+                                      rots["host"])
+        po, rs = rot_pushout(
+            PartitioningSpan(rule.b, rule.right, comp.context, rule.r,
+                             comp.c),
+            rots["boundary"], rots["right"], rs_ctx)
+        assert result == po.graph == trace.result_pushout.graph
+        assert trace.complement == comp
+        assert trace.context_rotation == rs_ctx
+        assert trace.result_rotation == rs
+        _, plain = rewrite(rule, host, mt.m)
+        assert plain.result_pushout == po
+        assert plain.context_rotation is None and plain.result_rotation is None

@@ -97,6 +97,12 @@ def test_unknown_kind_rejected():
         parse_document(json.dumps(payload))
 
 
+def test_unhashable_kind_rejected():
+    payload = {"format_version": "1", "kind": ["graph"], "body": {}}
+    with pytest.raises(ValidationFailed, match="unknown document kind"):
+        parse_document(json.dumps(payload))
+
+
 def test_invalid_graph_rejected():
     body = {"vertices": ["v"], "edges": {"e": ["v", "ghost"]}}
     with pytest.raises(ValidationFailed):

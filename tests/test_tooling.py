@@ -22,6 +22,26 @@ def test_no_assert_statements_in_the_library():
     assert not found
 
 
+def test_every_imported_name_is_used():
+    # an import nothing reads is dead code that still couples modules
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports are its purpose
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found
+
+
 def _cli(flags, argv):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, *flags, "-m", "dpoembed.cli",
@@ -36,10 +56,28 @@ def _cli(flags, argv):
     (["complement", "--rotations", "boundary_embedding_interleaving.json"], 0),
     (["repairings", "--classify-genus",
       "boundary_embedding_three_pairs.json"], 1),
-], ids=["rewrite", "classify-genus", "rot-complement", "missing-rotations"])
+    (["rewrite", "--rotations", "match_rotation_loop.json"], 0),
+], ids=["rewrite", "classify-genus", "rot-complement", "missing-rotations",
+        "rot-rewrite"])
 def test_cli_output_is_the_same_under_optimize(argv, code):
     # the unchecked cores must not lean on anything `-O` strips
     argv = argv[:-1] + [str(FIXTURES / argv[-1])]
     plain = _cli([], argv)
     assert plain[0] == code
     assert _cli(["-O"], argv) == plain
+
+
+def test_missing_field_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # required fields are a set; its order changes with PYTHONHASHSEED
+    doc = tmp_path / "span.json"
+    doc.write_text('{"format_version": "1", "kind": "span", "body": {}}')
+    errs = set()
+    for seed in range(5):
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent),
+                   PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-m", "dpoembed.cli",
+                               "validate", str(doc)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert errs == {b"error: span: missing field 'boundary'\n"}
