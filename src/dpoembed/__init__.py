@@ -88,7 +88,6 @@ from .rotation import (
 )
 from .matcher import (
     Match,
-    MatchOptions,
     MatchRequest,
     MatcherError,
     check_match,

@@ -22,7 +22,7 @@ from .morphism import GraphMorphism, classify
 POS = "+"
 NEG = "-"
 
-DEFAULT_SOLUTION_CAP = 10000
+MAX_RE_PAIRINGS = 10000  # enumeration stops at the first solution past this
 
 
 class BoundaryError(Exception):
@@ -298,32 +298,29 @@ def _class_arrangements(be: BoundaryEmbedding, half: PairingGraph, a: str,
         yield tuple(sorted(red))
 
 
-def enumerate_re_pairings(be: BoundaryEmbedding,
-                          cap: int = DEFAULT_SOLUTION_CAP):
-    """All solutions of the re-pairing problem, deduplicated, in
-    deterministic order; the canonical solution comes first."""
+def enumerate_re_pairings(be: BoundaryEmbedding):
+    """All solutions of the re-pairing problem, in deterministic order;
+    the canonical solution comes first."""
     check_boundary_embedding(be)
-    return _enumerate(be, cap)
+    return _enumerate(be)
 
 
-def _enumerate(be: BoundaryEmbedding, cap: int = DEFAULT_SOLUTION_CAP):
+def _enumerate(be: BoundaryEmbedding):
+    # No dedupe: a class's red set fixes its path or cyclic order, and
+    # classes touch disjoint nodes, so every combination is distinct.
     half = _blue_half(be)
-    classes = arc_classes(be)
     per_class = [
-        list(dict.fromkeys(_class_arrangements(be, half, a, members)))
-        for a, members in classes.items()
+        list(itertools.islice(_class_arrangements(be, half, a, members),
+                              MAX_RE_PAIRINGS + 1))
+        for a, members in arc_classes(be).items()
     ]
     solutions = []
-    seen = set()
     for combo in itertools.product(*per_class):
         red = frozenset(pair for reds in combo for pair in reds)
-        if red in seen:
-            continue
-        seen.add(red)
         solutions.append(PairingGraph(half.nodes, half.polarity, half.blue, red))
-        if len(solutions) > cap:
+        if len(solutions) > MAX_RE_PAIRINGS:
             raise CombinatorialLimitExceeded(
-                f"more than {cap} re-pairing solutions")
+                f"more than {MAX_RE_PAIRINGS} re-pairing solutions")
     return solutions
 
 
@@ -339,10 +336,6 @@ def _solve(be: BoundaryEmbedding) -> PairingGraph:
     for a, members in arc_classes(be).items():
         red.extend(next(_class_arrangements(be, half, a, members)))
     return PairingGraph(half.nodes, half.polarity, half.blue, frozenset(red))
-
-
-def red_matched_pairs(solution: PairingGraph) -> List[Tuple[str, str]]:
-    return sorted(solution.red)
 
 
 def red_unmatched_nodes(solution: PairingGraph) -> List[str]:

@@ -26,7 +26,7 @@ from .lawcheck import (
     UnknownLaw,
     check_lemma,
 )
-from .matcher import MatcherError, MatchOptions, MatchRequest, find_matches
+from .matcher import MatcherError, MatchRequest, find_matches
 from .morphism import classify
 from .rotation import (
     RotationError,
@@ -164,8 +164,8 @@ def cmd_repairings(args) -> int:
 
 def cmd_match(args) -> int:
     doc, (rule, host, _, rots) = _parse(args.file, args.lenient, ("match",))
-    opts = MatchOptions(require_rotation_preservation=args.rotations)
-    req = MatchRequest(rule, host, opts,
+    req = MatchRequest(rule, host,
+                       require_rotation_preservation=args.rotations,
                        host_rotation=rots.get("host"),
                        left_rotation=rots.get("left"))
     matches = find_matches(req)

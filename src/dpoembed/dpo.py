@@ -29,7 +29,6 @@ from .boundary import (
     _solve,
     check_boundary_embedding,
     check_span,
-    red_matched_pairs,
     red_unmatched_nodes,
     validate_boundary_graph,
 )
@@ -53,6 +52,9 @@ class SolutionIndexOutOfRange(DpoError):
 
 class SizeLimitExceeded(DpoError):
     pass
+
+
+ISO_MAX_VERTICES = 64  # iso_check refuses larger graphs
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def _complement(be: BoundaryEmbedding,
     g_amap: Dict[str, str] = {a: a for a in itertools.chain(edges, circles)}
     used = set(edges) | circles
 
-    for neg, pos in red_matched_pairs(solution):
+    for neg, pos in sorted(solution.red):
         loop = _fresh(min(neg, pos), used)
         used.add(loop)
         edges[loop] = (dual, dual)
@@ -271,17 +273,17 @@ def validate_rule(rule: RewriteRule):
     return errors
 
 
-def iso_check(g1: Graph, g2: Graph, max_vertices: int = 64):
+def iso_check(g1: Graph, g2: Graph):
     """Search for an isomorphism preserving sources and targets.
 
     Exhaustive backtracking with degree-signature pruning; intended for
-    desk-scale graphs, hence the `max_vertices` cap.  Each graph's
+    desk-scale graphs, hence the `ISO_MAX_VERTICES` cap.  Each graph's
     signatures and (source, target) pair counts are tabulated in one
     pass over its edges, so testing a candidate vertex costs one lookup
     per mapped vertex.  Returns (vmap, amap) or None.
     """
-    if len(g1.vertices) > max_vertices or len(g2.vertices) > max_vertices:
-        raise SizeLimitExceeded(max_vertices)
+    if max(len(g1.vertices), len(g2.vertices)) > ISO_MAX_VERTICES:
+        raise SizeLimitExceeded(ISO_MAX_VERTICES)
     if (len(g1.vertices) != len(g2.vertices)
             or len(g1.edges) != len(g2.edges)
             or len(g1.circles) != len(g2.circles)):

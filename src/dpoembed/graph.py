@@ -159,19 +159,6 @@ def degree(g: Graph, v: str) -> int:
     return len(g.incidence[v])
 
 
-def flag_vertex(g: Graph, f: Flag) -> str:
-    """The vertex a flag is incident at."""
-    return g.source(f.edge) if f.end == SRC else g.target(f.edge)
-
-
-def all_flags(g: Graph) -> Tuple[Flag, ...]:
-    out = []
-    for e in g.sorted_edges():
-        out.append(Flag(e, SRC))
-        out.append(Flag(e, TGT))
-    return tuple(out)
-
-
 def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:
     """Subgraph on vs keeping edges with both endpoints in vs; drops circles."""
     keep = set(vs)

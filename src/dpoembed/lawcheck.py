@@ -691,10 +691,6 @@ class Law:
     describe: Callable[[object], str]
 
 
-def _random_span_inst(rng, budget):
-    return random_span(rng, budget)
-
-
 LAWS: Dict[str, Law] = {
     law.name: law
     for law in (
@@ -706,15 +702,15 @@ LAWS: Dict[str, Law] = {
             _holds_degree_preservation, _describe_morphism),
         Law("AlmostVertexInjective", gen_morphisms, random_morphism,
             _holds_almost_vertex_injective, _describe_morphism),
-        Law("SelfLoopCreation", gen_spans, _random_span_inst,
+        Law("SelfLoopCreation", gen_spans, random_span,
             _holds_self_loop_creation, _describe_span),
-        Law("PairingPathsOrCycles", gen_spans, _random_span_inst,
+        Law("PairingPathsOrCycles", gen_spans, random_span,
             _holds_pairing_paths_or_cycles, _describe_span),
-        Law("PathInB", gen_spans, _random_span_inst,
+        Law("PathInB", gen_spans, random_span,
             _holds_path_in_b, _describe_span),
-        Law("EdgesAndCircles", gen_spans, _random_span_inst,
+        Law("EdgesAndCircles", gen_spans, random_span,
             _holds_edges_and_circles, _describe_span),
-        Law("PushoutLegsAreEmbeddings", gen_spans, _random_span_inst,
+        Law("PushoutLegsAreEmbeddings", gen_spans, random_span,
             _holds_pushout_legs, _describe_span),
         Law("ComplementRoundTrip", gen_boundary_embeddings,
             random_boundary_embedding, _holds_complement_round_trip,

@@ -1,13 +1,11 @@
 """Match search: finding embeddings of a rule's left-hand side into a
 host graph that form boundary embeddings.
 
-Deterministic id-order backtracking over the interior vertices of L
-(anchored at the lowest-id vertex of maximal degree), followed by
+Backtracking over the interior vertices of L in id order, followed by
 enumeration of the per-vertex flag bijections and of the images of
 flagless arcs (self-loops at the boundary image and circles).  The rule
-is validated once per search; each candidate then gets only the checks
-that depend on it (`classify` of the match and the conditions on the
-boundary image and the interior).  `check_match` is the full naive
+is validated once per search; each candidate then gets the one check
+that can fail, `classify` of the match.  `check_match` is the full naive
 check of one candidate; lawcheck's brute-force oracle uses it to check
 the search for soundness and completeness.
 """
@@ -37,17 +35,14 @@ class MatchLimitExceeded(MatcherError):
     pass
 
 
-@dataclass(frozen=True)
-class MatchOptions:
-    max_matches: int = 10000
-    require_rotation_preservation: bool = False
+MAX_MATCHES = 10000  # a search stops at the first match past this
 
 
 @dataclass(frozen=True)
 class MatchRequest:
     rule: RewriteRule
     host: Graph
-    options: MatchOptions = MatchOptions()
+    require_rotation_preservation: bool = False
     host_rotation: Optional[RotationSystem] = None
     left_rotation: Optional[RotationSystem] = None
 
@@ -108,7 +103,7 @@ def _flag_bijections(l_flags, h_flags):
 
 def find_matches(req: MatchRequest) -> List[Match]:
     """All matches of the rule's left-hand side into the host."""
-    rule, host, opts = req.rule, req.host, req.options
+    rule, host = req.rule, req.host
     left = rule.left
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
@@ -121,33 +116,24 @@ def find_matches(req: MatchRequest) -> List[Match]:
     if not interior and not left.edges and not left.circles:
         return []  # degenerate rule: nothing to anchor a match
 
-    if interior:
-        anchor = min(interior, key=lambda v: (-degree(left, v), v))
-        rest = sorted(v for v in interior if v != anchor)
-        order = [anchor] + rest
-    else:
-        order = []
-
     host_vertices = host.sorted_vertices()
     free_arcs = sorted(
         [e for e in left.edges
          if left.edges[e] == (boundary_image, boundary_image)]
         + list(left.circles))
     results: List[Match] = []
-    seen = set()
 
     def record(vmap, amap):
+        # vmap covers exactly the interior, and distinct vertex maps,
+        # flag bijections and free-arc choices give distinct morphisms:
+        # only the embedding condition can fail here
         m = morphism(left, host, vmap, amap)
-        if (not classify(m).is_embedding
-                or m.v(boundary_image) is not None
-                or any(m.v(v) is None for v in interior)
-                or m.key() in seen):
+        if not classify(m).is_embedding:
             return
-        seen.add(m.key())
         be = BoundaryEmbedding(rule.b, left, host, rule.l, m)
         results.append(Match(m, be))
-        if len(results) > opts.max_matches:
-            raise MatchLimitExceeded(opts.max_matches)
+        if len(results) > MAX_MATCHES:
+            raise MatchLimitExceeded(MAX_MATCHES)
 
     host_arcs = host.arcs()
     host_circles = host.sorted_circles()
@@ -168,7 +154,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
         # each choice forces the arc map on the incident edges, and the
         # forcings must agree where an edge has two matched endpoints.
         per_vertex = []
-        for v in order:
+        for v in interior:
             options = list(_flag_bijections(
                 flags_at(left, v), flags_at(host, vmap[v])))
             if not options:
@@ -190,10 +176,10 @@ def find_matches(req: MatchRequest) -> List[Match]:
                 assign_free_arcs(vmap, amap)
 
     def backtrack(i, vmap, used):
-        if i == len(order):
+        if i == len(interior):
             assign_arcs(dict(vmap))
             return
-        v = order[i]
+        v = interior[i]
         d = degree(left, v)
         for w in host_vertices:
             if w in used or degree(host, w) != d:
@@ -207,7 +193,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
     if rule_ok:
         backtrack(0, {}, set())
 
-    if opts.require_rotation_preservation:
+    if req.require_rotation_preservation:
         if req.left_rotation is None or req.host_rotation is None:
             raise MatcherError(
                 "rotation preservation requested without rotation data")

@@ -28,7 +28,6 @@ from .morphism import GraphMorphism, flag_map
 from .boundary import (
     BoundaryEmbedding,
     BoundaryGraph,
-    DEFAULT_SOLUTION_CAP,
     PairingGraph,
     PartitioningSpan,
     enumerate_re_pairings,
@@ -194,11 +193,6 @@ FWD = "fwd"
 REV = "rev"
 
 
-def _arrival_flag(g: Graph, d: Dart) -> Flag:
-    e, direction = d
-    return Flag(e, TGT) if direction == FWD else Flag(e, SRC)
-
-
 def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
     """Orbits of the next-dart permutation.
 
@@ -217,8 +211,8 @@ def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
             position[fl] = (v, i)
 
     def next_dart(d: Dart) -> Dart:
-        fl = _arrival_flag(g, d)
-        v, i = position[fl]
+        e, direction = d
+        v, i = position[Flag(e, TGT if direction == FWD else SRC)]
         rot = rs.rotation(v)
         nxt = rot[(i + 1) % len(rot)]
         return (nxt.edge, FWD if nxt.end == SRC else REV)
@@ -308,15 +302,14 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
 
 def classify_re_pairings(be: BoundaryEmbedding, rot_b: RotationSystem,
                          rot_left: RotationSystem, rot_host: RotationSystem,
-                         planar_only: bool = False,
-                         cap: int = DEFAULT_SOLUTION_CAP):
+                         planar_only: bool = False):
     """Every re-pairing solution together with the genus report of its
     rotation-equipped complement, in deterministic order.
 
     The embedding is checked once by the enumeration, then the rotation
     data once; each solution then runs through the unchecked complement
     core, and `genus_report` validates its constructed rotation once."""
-    solutions = enumerate_re_pairings(be, cap=cap)
+    solutions = enumerate_re_pairings(be)
     _check_embedding_rotations(be, rot_b, rot_left, rot_host)
     out = []
     for solution in solutions:

@@ -70,6 +70,27 @@ def two_region_span(two_edge_boundary):
     return PartitioningSpan(b, left, ctx, l, c)
 
 
+def bouquet_embedding(sizes):
+    """A bouquet of sum(sizes) loops, each one blue pair, with sizes[j]
+    of them mapped onto host circle o{j}."""
+    n = sum(sizes)
+    edges = {}
+    for i in range(n):
+        edges[f"p{i}"] = ("bnd", "dbd")
+        edges[f"n{i}"] = ("dbd", "bnd")
+    b = BoundaryGraph(graph(["bnd", "dbd"], edges), "bnd", "dbd")
+    left = graph(["v"], {f"a{i}": ("v", "v") for i in range(n)})
+    amap = {}
+    for i in range(n):
+        amap[f"p{i}"] = f"a{i}"
+        amap[f"n{i}"] = f"a{i}"
+    l = morphism(b.graph, left, {"bnd": "v"}, amap)
+    circles = [f"o{j}" for j, size in enumerate(sizes) for _ in range(size)]
+    host = graph([], {}, sorted(set(circles)))
+    m = morphism(left, host, {}, {f"a{i}": o for i, o in enumerate(circles)})
+    return BoundaryEmbedding(b, left, host, l, m)
+
+
 def count_calls(monkeypatch, fn):
     """Rebind `fn` in every dpoembed module that binds it to a wrapper
     that counts its calls; returns the counter, a one-element list."""

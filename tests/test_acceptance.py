@@ -9,7 +9,6 @@ import time
 
 from dpoembed import (
     EMBEDDING,
-    BoundaryEmbedding,
     BoundaryGraph,
     Flag,
     MatchRequest,
@@ -40,7 +39,7 @@ from dpoembed.lawcheck import (
 )
 from dpoembed.serialize import load_document, parse_document, print_document
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bouquet_embedding
 
 CORPUS = sorted(FIXTURES.glob("*.json"))
 
@@ -223,23 +222,6 @@ def test_criterion_6_determinism_and_round_trips(capsys):
            "rewrites isomorphic to their hosts across the corpus")
 
 
-def _circle_class_embedding(n):
-    edges = {}
-    for i in range(n):
-        edges[f"p{i}"] = ("bnd", "dbd")
-        edges[f"n{i}"] = ("dbd", "bnd")
-    b = BoundaryGraph(graph(["bnd", "dbd"], edges), "bnd", "dbd")
-    left = graph(["v"], {f"a{i}": ("v", "v") for i in range(n)})
-    amap = {}
-    for i in range(n):
-        amap[f"p{i}"] = f"a{i}"
-        amap[f"n{i}"] = f"a{i}"
-    l = morphism(b.graph, left, {"bnd": "v"}, amap)
-    host = graph([], {}, ["o"])
-    m = morphism(left, host, {}, {f"a{i}": "o" for i in range(n)})
-    return BoundaryEmbedding(b, left, host, l, m)
-
-
 def _oracle_solutions(be):
     half = blue_half(be)
     pos = sorted(x for x in half.nodes if half.polarity[x] == POS)
@@ -260,8 +242,8 @@ def _oracle_solutions(be):
 
 
 def test_criterion_7_re_pairing_counts(capsys):
-    two = _circle_class_embedding(2)
-    three = _circle_class_embedding(3)
+    two = bouquet_embedding((2,))
+    three = bouquet_embedding((3,))
     n2 = len(enumerate_re_pairings(two))
     n3 = len(enumerate_re_pairings(three))
     ok = (n2 == 1 and n3 == 2

@@ -1,6 +1,10 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpoembed import (
     BoundaryEmbedding,
@@ -18,12 +22,16 @@ from dpoembed import (
     validate_span,
 )
 from dpoembed.boundary import (
+    MAX_RE_PAIRINGS,
     NEG,
     POS,
     BoundaryEmbeddingInvariantViolated,
-    red_matched_pairs,
+    CombinatorialLimitExceeded,
     red_unmatched_nodes,
 )
+from dpoembed.lawcheck import GenBudget, random_boundary_embedding
+
+from conftest import bouquet_embedding
 
 
 def test_boundary_graph_polarity(two_edge_boundary):
@@ -74,26 +82,8 @@ def test_single_pair_circle_class_has_one_solution(circle_host_embedding):
     sols = enumerate_re_pairings(circle_host_embedding)
     assert len(sols) == 1
     assert sols[0].red == {("e2", "e1")}
-    assert red_matched_pairs(sols[0]) == [("e2", "e1")]
+    assert sorted(sols[0].red) == [("e2", "e1")]
     assert red_unmatched_nodes(sols[0]) == []
-
-
-def _circle_class_embedding(n):
-    """n blue pairs all mapped onto a single host circle."""
-    edges = {}
-    for i in range(n):
-        edges[f"p{i}"] = ("bnd", "dbd")
-        edges[f"n{i}"] = ("dbd", "bnd")
-    b = BoundaryGraph(graph(["bnd", "dbd"], edges), "bnd", "dbd")
-    left = graph(["v"], {f"a{i}": ("v", "v") for i in range(n)})
-    amap = {}
-    for i in range(n):
-        amap[f"p{i}"] = f"a{i}"
-        amap[f"n{i}"] = f"a{i}"
-    l = morphism(b.graph, left, {"bnd": "v"}, amap)
-    host = graph([], {}, ["o"])
-    m = morphism(left, host, {}, {f"a{i}": "o" for i in range(n)})
-    return BoundaryEmbedding(b, left, host, l, m)
 
 
 def _oracle_circle_solutions(be):
@@ -120,7 +110,7 @@ def _oracle_circle_solutions(be):
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 2), (4, 6)])
 def test_circle_class_solution_counts(n, expected):
-    be = _circle_class_embedding(n)
+    be = bouquet_embedding((n,))
     sols = enumerate_re_pairings(be)
     assert len(sols) == expected  # (n-1)! distinct cyclic arrangements
     assert len(sols) == _oracle_circle_solutions(be)
@@ -164,3 +154,58 @@ def test_solutions_are_deterministic(circle_host_embedding):
     a = [s.key() for s in enumerate_re_pairings(circle_host_embedding)]
     b = [s.key() for s in enumerate_re_pairings(circle_host_embedding)]
     assert a == b
+
+
+def test_re_pairing_cap_edge():
+    # (7-1)! * (4-1)! * (3-1)! = 8,640 and (8-1)! * (3-1)! = 10,080
+    assert len(enumerate_re_pairings(bouquet_embedding((7, 4, 3)))) == 8640
+    with pytest.raises(CombinatorialLimitExceeded):
+        enumerate_re_pairings(bouquet_embedding((8, 3)))
+
+
+def test_re_pairing_cap_bounds_the_work():
+    # 9! = 362,880 arrangements; the refusal must not build them all
+    be = bouquet_embedding((10,))
+    start = time.perf_counter()
+    with pytest.raises(CombinatorialLimitExceeded,
+                       match=f"more than {MAX_RE_PAIRINGS} "):
+        enumerate_re_pairings(be)
+    assert time.perf_counter() - start < 1.0
+
+
+def _expected_solution_count(be):
+    """Product over host arcs of the orders of their blue pairs: (p-1)!
+    cyclic orders on a circle, p! path orders on an edge."""
+    pairs_per_arc = {}
+    for img in set(be.l.amap.values()):
+        members = [e for e in be.b.graph.edges if be.l.amap[e] == img]
+        if len(members) == 2:
+            arc = be.m.amap[img]
+            pairs_per_arc[arc] = pairs_per_arc.get(arc, 0) + 1
+    arcs = {be.m.amap[be.l.amap[e]] for e in be.b.graph.edges}
+    count = 1
+    for a in arcs:
+        p = pairs_per_arc.get(a, 0)
+        count *= math.factorial(p - 1 if be.host.is_circle(a) else p)
+    return count
+
+
+def _assert_distinct_and_counted(be):
+    sols = enumerate_re_pairings(be)
+    assert len({s.key() for s in sols}) == len(sols)
+    assert len(sols) == _expected_solution_count(be)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_embedding_solutions_are_distinct_and_counted(seed):
+    be = random_boundary_embedding(random.Random(seed),
+                                   GenBudget(5, 6, 2, 4))
+    if be is not None:
+        _assert_distinct_and_counted(be)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_bouquet_solutions_are_distinct_and_counted(sizes):
+    _assert_distinct_and_counted(bouquet_embedding(sizes))

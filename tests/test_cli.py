@@ -3,8 +3,9 @@ import json
 import pytest
 
 from dpoembed.cli import main
+from dpoembed.serialize import boundary_embedding_doc, print_document
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bouquet_embedding
 
 CORPUS = sorted(FIXTURES.glob("*.json"))
 
@@ -211,6 +212,17 @@ def test_repairings_counts(capsys):
     assert code == 0
     body = json.loads(out)["body"]
     assert len(body["solutions"]) == 2
+
+
+def test_repairings_over_the_cap_is_refused(capsys, tmp_path):
+    # ten loops on one circle have 9! = 362,880 solutions
+    doc = tmp_path / "ten_loops.json"
+    doc.write_text(print_document(boundary_embedding_doc(
+        bouquet_embedding((10,)))))
+    code, out, err = run(capsys, "repairings", str(doc))
+    assert code == 1
+    assert out == ""
+    assert "more than 10000" in err
 
 
 def test_repairings_classify_genus(capsys):

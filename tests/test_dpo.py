@@ -23,6 +23,7 @@ from dpoembed import (
     validate_rule,
 )
 from dpoembed.dpo import (
+    ISO_MAX_VERTICES,
     NotABoundaryEmbedding,
     SizeLimitExceeded,
     SolutionIndexOutOfRange,
@@ -187,11 +188,12 @@ def test_iso_check_at_its_vertex_cap():
 
 
 def test_iso_check_size_limit():
-    over = _cycle([f"v{i:02d}" for i in range(65)], "e")
+    over = _cycle([f"v{i:02d}" for i in range(ISO_MAX_VERTICES + 1)], "e")
     with pytest.raises(SizeLimitExceeded):
         iso_check(over, over)
+    at_cap = _cycle([f"v{i:02d}" for i in range(ISO_MAX_VERTICES)], "e")
     with pytest.raises(SizeLimitExceeded):
-        iso_check(_cycle([f"v{i:02d}" for i in range(64)], "e"), over)
+        iso_check(at_cap, over)
 
 
 def _brute_force_isomorphic(g1, g2):

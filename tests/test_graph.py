@@ -14,7 +14,7 @@ from dpoembed import (
     is_connected,
     validate_graph,
 )
-from dpoembed.graph import UnknownVertex, all_flags, flag_vertex
+from dpoembed.graph import UnknownVertex
 
 
 def test_empty_graph_is_valid():
@@ -42,13 +42,6 @@ def test_self_loop_contributes_two_flags():
 def test_flags_at_unknown_vertex():
     with pytest.raises(UnknownVertex):
         flags_at(EMPTY_GRAPH, "v")
-
-
-def test_flag_vertex():
-    g = graph(["x", "y"], {"e": ("x", "y")})
-    assert flag_vertex(g, Flag("e", "src")) == "x"
-    assert flag_vertex(g, Flag("e", "tgt")) == "y"
-    assert all_flags(g) == (Flag("e", "src"), Flag("e", "tgt"))
 
 
 def test_circles_are_their_own_components():

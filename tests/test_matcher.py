@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from dpoembed import (
     Flag,
-    MatchOptions,
     MatchRequest,
     RewriteRule,
     check_match,
@@ -15,7 +14,7 @@ from dpoembed import (
 )
 from dpoembed.boundary import BoundaryGraph
 from dpoembed.lawcheck import brute_force_matches
-from dpoembed.matcher import LNotConnected, MatchLimitExceeded
+from dpoembed.matcher import MAX_MATCHES, LNotConnected, MatchLimitExceeded
 from dpoembed.morphism import classify
 
 from conftest import count_calls
@@ -74,10 +73,16 @@ def test_disconnected_left_rejected(two_edge_boundary, mixed_host):
         find_matches(MatchRequest(rule, mixed_host))
 
 
-def test_match_limit(loop_rule, mixed_host):
+def _circles(n):
+    return graph([], {}, [f"o{i:05d}" for i in range(n)])
+
+
+def test_match_limit(loop_rule):
+    # the loop sits at the boundary image, so each host circle is a match
+    found = find_matches(MatchRequest(loop_rule, _circles(MAX_MATCHES)))
+    assert len(found) == MAX_MATCHES
     with pytest.raises(MatchLimitExceeded):
-        find_matches(MatchRequest(loop_rule, mixed_host,
-                                  MatchOptions(max_matches=1)))
+        find_matches(MatchRequest(loop_rule, _circles(MAX_MATCHES + 1)))
 
 
 def test_check_match_rejects_map_onto_boundary_image(loop_rule, mixed_host):
@@ -120,7 +125,7 @@ def test_rotation_filter_keeps_preserving_match(rot_instance):
         "q": [Flag("hx", "tgt"), Flag("hz", "src"),
               Flag("hz", "tgt"), Flag("hy", "src")]})
     found = find_matches(MatchRequest(
-        rule, host, MatchOptions(require_rotation_preservation=True),
+        rule, host, require_rotation_preservation=True,
         host_rotation=rot_h, left_rotation=rot_l))
     assert len(found) == 1
     assert found[0].m.vmap == {"u": "q"}
@@ -135,7 +140,7 @@ def test_rotation_filter_drops_twisted_match(rot_instance):
     plain = find_matches(MatchRequest(rule, host))
     assert len(plain) == 1
     filtered = find_matches(MatchRequest(
-        rule, host, MatchOptions(require_rotation_preservation=True),
+        rule, host, require_rotation_preservation=True,
         host_rotation=twisted, left_rotation=rot_l))
     assert filtered == []
 
@@ -149,7 +154,7 @@ def test_rotation_filter_matches_manual_check(rot_instance):
     plain = find_matches(MatchRequest(rule, host))
     manual = [mt for mt in plain if check_rot_morphism(mt.m, rot_l, rot_h)]
     filtered = find_matches(MatchRequest(
-        rule, host, MatchOptions(require_rotation_preservation=True),
+        rule, host, require_rotation_preservation=True,
         host_rotation=rot_h, left_rotation=rot_l))
     assert keys(filtered) == keys(manual)
 

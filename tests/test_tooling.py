@@ -42,6 +42,27 @@ def test_every_imported_name_is_used():
     assert not found
 
 
+def test_lawcheck_uses_no_private_name_of_the_library():
+    # the law suite and its oracles check the constructive code, so they
+    # may call only its public API
+    tree = ast.parse((SRC / "lawcheck.py").read_text())
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("dpoembed")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.lineno}: {alias.name}")
+                if not node.module or node.module == "dpoembed":
+                    modules.add(alias.asname or alias.name)
+    found += [f"{node.lineno}: {node.value.id}.{node.attr}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    assert not found
+
+
 def _cli(flags, argv):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, *flags, "-m", "dpoembed.cli",
