@@ -63,25 +63,22 @@ from .dpo import (
     DpoError,
     PushoutResult,
     RewriteRule,
+    RewriteTrace,
+    classify_re_pairings,
     iso_check,
-    pick_solution,
     pushout,
     pushout_complement,
+    rewrite,
     validate_rule,
 )
 from .rotation import (
     ComponentReport,
-    RewriteTrace,
     RotationError,
     RotationSystem,
     SurfaceReport,
     check_rot_morphism,
-    classify_re_pairings,
     cyclic_equal,
     genus_report,
-    rewrite,
-    rot_complement,
-    rot_pushout,
     rotation_system,
     trace_faces,
     validate_rotation,

@@ -18,7 +18,13 @@ from .boundary import (
     enumerate_re_pairings,
     solve_re_pairing,
 )
-from .dpo import DpoError, pick_solution, pushout, pushout_complement
+from .dpo import (
+    DpoError,
+    classify_re_pairings,
+    pushout,
+    pushout_complement,
+    rewrite,
+)
 from .lawcheck import (
     DEFAULT_BUDGET,
     GenBudget,
@@ -28,14 +34,7 @@ from .lawcheck import (
 )
 from .matcher import MatcherError, MatchRequest, find_matches
 from .morphism import classify
-from .rotation import (
-    RotationError,
-    classify_re_pairings,
-    genus_report,
-    rewrite,
-    rot_complement,
-    rot_pushout,
-)
+from .rotation import RotationError, genus_report
 from .serialize import (
     Document,
     DocumentError,
@@ -78,13 +77,6 @@ def _parse(path: str, lenient: bool, expect: Optional[tuple] = None):
     return doc, loaded
 
 
-def _need_rotations(rots, keys):
-    missing = [k for k in keys if rots.get(k) is None]
-    if missing:
-        raise CliFailure(
-            "rotations required on: " + ", ".join(sorted(missing)))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -106,15 +98,10 @@ def cmd_classify_morphism(args) -> int:
 
 def cmd_pushout(args) -> int:
     _, (span, rots) = _parse(args.file, args.lenient, ("span",))
-    if args.rotations:
-        _need_rotations(rots, ("boundary", "left", "context"))
-        po, rs = rot_pushout(span, rots["boundary"], rots["left"],
-                             rots["context"])
-    else:
-        po, rs = pushout(span), None
+    po = pushout(span, rots if args.rotations else None)
     _emit(Document("trace", {
         "operation": "pushout",
-        "result": serialize.graph_to_body(po.graph, rs),
+        "result": serialize.graph_to_body(po.graph, po.rotation),
         "left_leg": serialize.map_to_body(po.m),
         "context_leg": serialize.map_to_body(po.g),
         "arc_classes": {a: list(es) for a, es in sorted(po.arc_classes.items())},
@@ -124,16 +111,11 @@ def cmd_pushout(args) -> int:
 
 def cmd_complement(args) -> int:
     _, (be, rots) = _parse(args.file, args.lenient, ("boundary_embedding",))
-    solution = pick_solution(be, args.solution)
-    if args.rotations:
-        _need_rotations(rots, ("boundary", "left", "host"))
-        comp, rs = rot_complement(be, rots["boundary"], rots["left"],
-                                  rots["host"], solution)
-    else:
-        comp, rs = pushout_complement(be, solution), None
+    comp = pushout_complement(be, args.solution,
+                              rots if args.rotations else None)
     _emit(Document("trace", {
         "operation": "complement",
-        "context": serialize.graph_to_body(comp.context, rs),
+        "context": serialize.graph_to_body(comp.context, comp.rotation),
         "dual_boundary": comp.dual_boundary,
         "context_leg": serialize.map_to_body(comp.c),
         "embedding": serialize.map_to_body(comp.g),
@@ -147,10 +129,8 @@ def cmd_repairings(args) -> int:
     body = {"operation": "repairings",
             "blue_half": serialize.solution_to_body(blue_half(be))}
     if args.classify_genus or args.planar_only:
-        _need_rotations(rots, ("boundary", "left", "host"))
-        classified = classify_re_pairings(
-            be, rots["boundary"], rots["left"], rots["host"],
-            planar_only=args.planar_only)
+        classified = [(s, r) for s, r in classify_re_pairings(be, rots)
+                      if not args.planar_only or r.is_planar]
         body["solutions"] = [serialize.solution_to_body(s)
                              for s, _ in classified]
         body["reports"] = [serialize.surface_report_doc(r).body
@@ -164,11 +144,8 @@ def cmd_repairings(args) -> int:
 
 def cmd_match(args) -> int:
     doc, (rule, host, _, rots) = _parse(args.file, args.lenient, ("match",))
-    req = MatchRequest(rule, host,
-                       require_rotation_preservation=args.rotations,
-                       host_rotation=rots.get("host"),
-                       left_rotation=rots.get("left"))
-    matches = find_matches(req)
+    matches = find_matches(MatchRequest(rule, host,
+                                        rots if args.rotations else None))
     body = dict(doc.body)
     body["matches"] = [serialize.map_to_body(mt.m) for mt in matches]
     _emit(Document("match", body))
@@ -181,14 +158,11 @@ def cmd_rewrite(args) -> int:
     if given:
         candidates = given
     else:
-        req = MatchRequest(rule, host)
-        candidates = [mt.m for mt in find_matches(req)]
+        candidates = [mt.m for mt in find_matches(MatchRequest(rule, host))]
     if not 0 <= args.match < len(candidates):
         raise CliFailure(
             f"match index {args.match} not in [0, {len(candidates)})")
     m = candidates[args.match]
-    if args.rotations:
-        _need_rotations(rots, ("boundary", "left", "right", "host"))
     _, trace = rewrite(rule, host, m, args.solution,
                        rots if args.rotations else None)
     po = trace.result_pushout
@@ -197,7 +171,7 @@ def cmd_rewrite(args) -> int:
         "match": serialize.map_to_body(m),
         "solution": serialize.solution_to_body(trace.solution),
         "context": serialize.graph_to_body(trace.complement.context),
-        "result": serialize.graph_to_body(po.graph, trace.result_rotation),
+        "result": serialize.graph_to_body(po.graph, po.rotation),
         "right_leg": serialize.map_to_body(po.m),
         "context_leg": serialize.map_to_body(po.g),
     }))

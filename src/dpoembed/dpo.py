@@ -1,7 +1,11 @@
 """The rewriting engine: pushouts of partitioning spans, pushout
-complements of boundary embeddings, rewrite rules and the choice of a
-re-pairing solution.  The full DPO step, `rotation.rewrite`, composes
-these with optional rotation systems.
+complements of boundary embeddings, rewrite rules, the DPO step
+`rewrite` and the genus classification of re-pairing solutions.
+
+Each square has one function.  Given a `rotations` mapping keyed by
+role (the shape `serialize.load_document` returns), it carries the
+rotation systems through the square; without one it is the plain
+construction.
 
 All maps are explicit tables; embeddings are never treated as
 inclusions.  Pushout element ids are prefixed by side ("L." / "C."),
@@ -15,8 +19,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import Graph, _union_find, graph, induced_subgraph, validate_graph
-from .morphism import GraphMorphism, classify, morphism
+from .graph import (
+    Flag,
+    Graph,
+    _union_find,
+    graph,
+    induced_subgraph,
+    validate_graph,
+)
+from .morphism import GraphMorphism, classify, flag_map, morphism
 from .boundary import (
     POS,
     BoundaryEmbedding,
@@ -24,21 +35,27 @@ from .boundary import (
     PairingGraph,
     PartitioningSpan,
     SpanInvariantViolated,
-    _blue_half,
     _enumerate,
     _solve,
     check_boundary_embedding,
     check_span,
+    enumerate_re_pairings,
     red_unmatched_nodes,
+    validate_boundary_embedding,
     validate_boundary_graph,
+)
+from .rotation import (
+    RotationError,
+    RotationSystem,
+    SurfaceReport,
+    check_rot_morphism,
+    genus_report,
+    rotation_system,
+    validate_rotation,
 )
 
 
 class DpoError(Exception):
-    pass
-
-
-class SolutionMismatch(DpoError):
     pass
 
 
@@ -56,6 +73,42 @@ class SizeLimitExceeded(DpoError):
 
 ISO_MAX_VERTICES = 64  # iso_check refuses larger graphs
 
+Rotations = Optional[Mapping[str, Optional[RotationSystem]]]
+
+
+def _roles(rotations: Rotations, roles) -> Optional[Tuple[RotationSystem, ...]]:
+    """The rotation systems of `roles`, in order, or None without
+    rotations.  Every entry calls this first."""
+    if rotations is None:
+        return None
+    missing = sorted(r for r in roles if rotations.get(r) is None)
+    if missing:
+        raise RotationError("rotations required on: " + ", ".join(missing))
+    return tuple(rotations[r] for r in roles)
+
+
+def _check_rotations(what: str, rots, graphs, legs) -> None:
+    """Each rotation system is valid on its graph, and each leg (name,
+    morphism, domain index, codomain index) preserves them."""
+    for rs, g in zip(rots, graphs):
+        if rs.graph != g or not validate_rotation(rs).ok:
+            raise RotationError(f"invalid rotation data for {what}")
+    for name, f, i, j in legs:
+        if not check_rot_morphism(f, rots[i], rots[j]):
+            raise RotationError(f"{name} does not preserve rotations")
+
+
+def _check_embedding_rotations(be: BoundaryEmbedding, rots) -> None:
+    _check_rotations("boundary embedding", rots, (be.b.graph, be.left, be.host),
+                     (("l", be.l, 0, 1), ("m", be.m, 1, 2)))
+
+
+def _validated(rs: RotationSystem) -> RotationSystem:
+    report = validate_rotation(rs)
+    if not report.ok:
+        raise RotationError(report.errors)
+    return rs
+
 
 @dataclass(frozen=True)
 class PushoutResult:
@@ -63,6 +116,7 @@ class PushoutResult:
     m: GraphMorphism  # L -> G
     g: GraphMorphism  # C -> G
     arc_classes: Mapping[str, Tuple[str, ...]]  # pushout arc -> B edges
+    rotation: Optional[RotationSystem] = None
 
 
 def _side_key(member):
@@ -70,15 +124,23 @@ def _side_key(member):
     return (0 if side == "L" else 1, ident)
 
 
-def pushout(span: PartitioningSpan) -> PushoutResult:
+def pushout(span: PartitioningSpan,
+            rotations: Rotations = None) -> PushoutResult:
     """Glue left and context along the boundary.
 
     Vertices are the non-boundary vertices of both sides; arcs are the
     quotient of both arc sets by the identifications the boundary edges
     induce.  An arc's endpoints come from whichever side defines them
     away from the boundary image; arcs left with no endpoints at all
-    become circles.
+    become circles.  With `rotations`, keyed "boundary", "left" and
+    "context", each surviving vertex keeps the rotation of the side it
+    came from.
     """
+    rots = _roles(rotations, ("boundary", "left", "context"))
+    if rots is not None:
+        _check_rotations("span", rots, (span.b.graph, span.left, span.context),
+                         (("left leg", span.l, 0, 1),
+                          ("context leg", span.c, 0, 2)))
     check_span(span)
     b, left, ctx = span.b, span.left, span.context
     vb_l = span.l.vmap[b.boundary]
@@ -146,7 +208,15 @@ def pushout(span: PartitioningSpan) -> PushoutResult:
         preimages[cid_of[("L", span.l.amap[e])]].append(e)
     classes_out = {cid: tuple(sorted(es)) for cid, es in preimages.items()}
 
-    return PushoutResult(result, m_map, g_map, classes_out)
+    rotation = None
+    if rots is not None:
+        inc = {}
+        for f, rs in ((m_map, rots[1]), (g_map, rots[2])):
+            for v, w in f.vmap.items():
+                inc[w] = tuple(Flag(f.amap[fl.edge], fl.end)
+                               for fl in rs.rotation(v))
+        rotation = _validated(rotation_system(result, inc))
+    return PushoutResult(result, m_map, g_map, classes_out, rotation)
 
 
 @dataclass(frozen=True)
@@ -156,6 +226,7 @@ class ComplementResult:
     c: GraphMorphism  # B -> C
     g: GraphMorphism  # C -> G
     solution: PairingGraph
+    rotation: Optional[RotationSystem] = None
 
     def span(self, l: GraphMorphism, b: BoundaryGraph,
              left: Graph) -> PartitioningSpan:
@@ -169,15 +240,9 @@ def _fresh(base: str, used) -> str:
     return name
 
 
-def pick_solution(be: BoundaryEmbedding,
-                  index: Optional[int] = None) -> PairingGraph:
+def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
     """The canonical re-pairing solution, or the `index`-th of all
     solutions in enumeration order."""
-    check_boundary_embedding(be)
-    return _pick(be, index)
-
-
-def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
     if index is None:
         return _solve(be)
     solutions = _enumerate(be)
@@ -188,26 +253,30 @@ def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
 
 
 def pushout_complement(be: BoundaryEmbedding,
-                       solution: Optional[PairingGraph] = None
-                       ) -> ComplementResult:
+                       solution_index: Optional[int] = None,
+                       rotations: Rotations = None) -> ComplementResult:
     """Remove the matched region, leaving a context graph over the dual
-    boundary, wired up according to the given re-pairing solution."""
+    boundary, wired up according to the canonical re-pairing solution
+    or the `solution_index`-th of all of them.  With `rotations`, keyed
+    "boundary", "left" and "host", surviving vertices keep their host
+    rotation and the dual boundary takes its rotation from the boundary
+    graph through c."""
+    rots = _roles(rotations, ("boundary", "left", "host"))
     check_boundary_embedding(be)
-    if solution is None:
-        solution = _solve(be)
-    else:
-        half = _blue_half(be)
-        if (solution.nodes != half.nodes
-                or solution.blue != half.blue
-                or dict(solution.polarity) != dict(half.polarity)):
-            raise SolutionMismatch("solution does not extend this blue half")
-    return _complement(be, solution)
+    solution = _pick(be, solution_index)
+    if rots is None:
+        return _complement(be, solution)
+    _check_embedding_rotations(be, rots)
+    comp = _complement(be, solution, rots)
+    _validated(comp.rotation)
+    return comp
 
 
-def _complement(be: BoundaryEmbedding,
-                solution: PairingGraph) -> ComplementResult:
-    """`pushout_complement` of a checked embedding and a solution that
-    extends its blue half."""
+def _complement(be: BoundaryEmbedding, solution: PairingGraph,
+                rots=None) -> ComplementResult:
+    """`pushout_complement` of a checked embedding, a solution that
+    extends its blue half and checked rotations, if any, on (boundary,
+    left, host); the context rotation is not validated."""
     host, b = be.host, be.b
     matched_vertices = set(be.m.vmap.values())
     survivors = set(host.vertices) - matched_vertices
@@ -246,7 +315,30 @@ def _complement(be: BoundaryEmbedding,
     context = graph(survivors | {dual}, edges, circles)
     c_map = morphism(b.graph, context, {b.dual_boundary: dual}, c_amap)
     g_map = morphism(context, host, {v: v for v in survivors}, g_amap)
-    return ComplementResult(context, dual, c_map, g_map, solution)
+    rotation = None
+    if rots is not None:
+        inv = {w: fl for fl, w in flag_map(g_map).items()}
+        inc = {v: tuple(inv[fl] for fl in rots[2].rotation(w))
+               for v, w in g_map.vmap.items()}
+        c_fm = flag_map(c_map)
+        inc[dual] = tuple(c_fm[fl] for fl in rots[0].rotation(b.dual_boundary))
+        rotation = rotation_system(context, inc)
+    return ComplementResult(context, dual, c_map, g_map, solution, rotation)
+
+
+def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
+                         ) -> List[Tuple[PairingGraph, SurfaceReport]]:
+    """Every re-pairing solution together with the genus report of its
+    rotation-equipped complement, in deterministic order.
+
+    The embedding is checked once by the enumeration, then the rotation
+    data once; each solution then runs through the unchecked complement
+    core, and `genus_report` validates its constructed rotation once."""
+    rots = _roles(rotations or {}, ("boundary", "left", "host"))
+    solutions = enumerate_re_pairings(be)
+    _check_embedding_rotations(be, rots)
+    return [(s, genus_report(_complement(be, s, rots).rotation))
+            for s in solutions]
 
 
 @dataclass(frozen=True)
@@ -273,6 +365,44 @@ def validate_rule(rule: RewriteRule):
     return errors
 
 
+@dataclass(frozen=True)
+class RewriteTrace:
+    boundary: BoundaryGraph
+    match: GraphMorphism
+    solution: PairingGraph
+    complement: ComplementResult
+    result_pushout: PushoutResult
+
+
+def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
+            solution_index: Optional[int] = None,
+            rotations: Rotations = None) -> Tuple[Graph, RewriteTrace]:
+    """One DPO step: complement of the match, then pushout against the
+    right-hand side.  Returns (result graph, trace).
+
+    The rule and the embedding are checked once and the re-pairing
+    solution is picked once.  With `rotations`, keyed "boundary",
+    "left", "right" and "host", the context takes its rotation as in
+    `pushout_complement` and the result as in `pushout`, which
+    validates the context rotation.
+    """
+    # host before right: the embedding checks read the first three
+    rots = _roles(rotations, ("boundary", "left", "host", "right"))
+    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
+    errors = validate_rule(rule) + validate_boundary_embedding(be)
+    if errors:
+        raise NotABoundaryEmbedding(errors)
+    solution = _pick(be, solution_index)
+    if rots is not None:
+        _check_embedding_rotations(be, rots)
+    comp = _complement(be, solution, rots)
+    po = pushout(
+        PartitioningSpan(rule.b, rule.right, comp.context, rule.r, comp.c),
+        None if rots is None else {"boundary": rots[0], "left": rots[3],
+                                   "context": comp.rotation})
+    return po.graph, RewriteTrace(rule.b, match, solution, comp, po)
+
+
 def iso_check(g1: Graph, g2: Graph):
     """Search for an isomorphism preserving sources and targets.
 
@@ -283,7 +413,7 @@ def iso_check(g1: Graph, g2: Graph):
     per mapped vertex.  Returns (vmap, amap) or None.
     """
     if max(len(g1.vertices), len(g2.vertices)) > ISO_MAX_VERTICES:
-        raise SizeLimitExceeded(ISO_MAX_VERTICES)
+        raise SizeLimitExceeded(f"more than {ISO_MAX_VERTICES} vertices")
     if (len(g1.vertices) != len(g2.vertices)
             or len(g1.edges) != len(g2.edges)
             or len(g1.circles) != len(g2.circles)):

@@ -518,8 +518,10 @@ def _holds_pushout_legs(span: PartitioningSpan) -> bool:
 
 
 def _holds_complement_round_trip(be: BoundaryEmbedding) -> bool:
-    for solution in enumerate_re_pairings(be):
-        comp = pushout_complement(be, solution)
+    for i, solution in enumerate(enumerate_re_pairings(be)):
+        comp = pushout_complement(be, i)
+        if comp.solution != solution:
+            return False
         span = comp.span(be.l, be.b, be.left)
         if validate_span(span):
             return False
@@ -530,8 +532,8 @@ def _holds_complement_round_trip(be: BoundaryEmbedding) -> bool:
 
 def _holds_complement_uniqueness(be: BoundaryEmbedding) -> bool:
     contexts = []
-    for solution in enumerate_re_pairings(be):
-        comp = pushout_complement(be, solution)
+    for i in range(len(enumerate_re_pairings(be))):
+        comp = pushout_complement(be, i)
         if not classify(comp.c).is_embedding:
             return False
         if not classify(comp.g).is_embedding:

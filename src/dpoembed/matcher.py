@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from .graph import SRC, TGT, Graph, degree, flags_at, is_connected
 from .morphism import GraphMorphism, classify, morphism
 from .boundary import BoundaryEmbedding, validate_boundary_embedding
-from .dpo import RewriteRule, validate_rule
-from .rotation import RotationSystem, check_rot_morphism
+from .dpo import Rotations, RewriteRule, _roles, validate_rule
+from .rotation import check_rot_morphism
 
 
 class MatcherError(Exception):
@@ -42,9 +42,8 @@ MAX_MATCHES = 10000  # a search stops at the first match past this
 class MatchRequest:
     rule: RewriteRule
     host: Graph
-    require_rotation_preservation: bool = False
-    host_rotation: Optional[RotationSystem] = None
-    left_rotation: Optional[RotationSystem] = None
+    # keyed "left" and "host": keep only rotation-preserving matches
+    rotations: Rotations = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,9 @@ def _flag_bijections(l_flags, h_flags):
 
 
 def find_matches(req: MatchRequest) -> List[Match]:
-    """All matches of the rule's left-hand side into the host."""
+    """All matches of the rule's left-hand side into the host, only the
+    rotation-preserving ones when the request carries rotations."""
+    rots = _roles(req.rotations, ("left", "host"))
     rule, host = req.rule, req.host
     left = rule.left
     if not is_connected(left):
@@ -133,7 +134,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
         be = BoundaryEmbedding(rule.b, left, host, rule.l, m)
         results.append(Match(m, be))
         if len(results) > MAX_MATCHES:
-            raise MatchLimitExceeded(MAX_MATCHES)
+            raise MatchLimitExceeded(f"more than {MAX_MATCHES} matches")
 
     host_arcs = host.arcs()
     host_circles = host.sorted_circles()
@@ -193,13 +194,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
     if rule_ok:
         backtrack(0, {}, set())
 
-    if req.require_rotation_preservation:
-        if req.left_rotation is None or req.host_rotation is None:
-            raise MatcherError(
-                "rotation preservation requested without rotation data")
-        results = [
-            mt for mt in results
-            if check_rot_morphism(mt.m, req.left_rotation, req.host_rotation)
-        ]
+    if rots is not None:
+        results = [mt for mt in results if check_rot_morphism(mt.m, *rots)]
     results.sort(key=lambda mt: mt.m.key())
     return results

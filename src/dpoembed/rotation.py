@@ -1,6 +1,6 @@
-"""Rotation systems: cyclic flag orders, face tracing, genus,
-rotation-aware pushouts and complements, and the DPO rewrite step,
-which carries rotations through both squares when given them.
+"""Rotation systems: cyclic flag orders, rotation-preserving
+morphisms, face tracing and genus.  The rewriting engine (`dpo`) carries
+these through its squares; this module knows nothing of rewriting.
 
 A rotation system fixes, at every vertex, a cyclic order of the
 incident flags, which determines an embedding of each connected
@@ -12,7 +12,7 @@ orientation and can change the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .graph import (
     SRC,
@@ -25,25 +25,6 @@ from .graph import (
     validate_graph,
 )
 from .morphism import GraphMorphism, flag_map
-from .boundary import (
-    BoundaryEmbedding,
-    BoundaryGraph,
-    PairingGraph,
-    PartitioningSpan,
-    enumerate_re_pairings,
-    validate_boundary_embedding,
-)
-from .dpo import (
-    ComplementResult,
-    NotABoundaryEmbedding,
-    PushoutResult,
-    RewriteRule,
-    _complement,
-    _pick,
-    pushout,
-    pushout_complement,
-    validate_rule,
-)
 
 
 class RotationError(Exception):
@@ -109,83 +90,6 @@ def check_rot_morphism(f: GraphMorphism, dom: RotationSystem,
         if not cyclic_equal(mapped, cod.rotation(f.vmap[v])):
             return False
     return True
-
-
-def _relabel_rotation(rot: Tuple[Flag, ...], f: GraphMorphism) -> Tuple[Flag, ...]:
-    return tuple(Flag(f.amap[fl.edge], fl.end) for fl in rot)
-
-
-def rot_pushout(span: PartitioningSpan, rot_b: RotationSystem,
-                rot_left: RotationSystem, rot_context: RotationSystem
-                ) -> Tuple[PushoutResult, RotationSystem]:
-    """Underlying pushout with rotations carried over from whichever
-    side each surviving vertex came from."""
-    for rs, g in ((rot_b, span.b.graph), (rot_left, span.left),
-                  (rot_context, span.context)):
-        if rs.graph != g or not validate_rotation(rs).ok:
-            raise RotationError("invalid rotation data for span")
-    if not check_rot_morphism(span.l, rot_b, rot_left):
-        raise RotationError("left leg does not preserve rotations")
-    if not check_rot_morphism(span.c, rot_b, rot_context):
-        raise RotationError("context leg does not preserve rotations")
-
-    po = pushout(span)
-    inc: Dict[str, Tuple[Flag, ...]] = {}
-    for v, w in po.m.vmap.items():
-        inc[w] = _relabel_rotation(rot_left.rotation(v), po.m)
-    for v, w in po.g.vmap.items():
-        inc[w] = _relabel_rotation(rot_context.rotation(v), po.g)
-    rs = rotation_system(po.graph, inc)
-    report = validate_rotation(rs)
-    if not report.ok:
-        raise RotationError(report.errors)
-    return po, rs
-
-
-def rot_complement(be: BoundaryEmbedding, rot_b: RotationSystem,
-                   rot_left: RotationSystem, rot_host: RotationSystem,
-                   solution: Optional[PairingGraph] = None
-                   ) -> Tuple[ComplementResult, RotationSystem]:
-    """Complement whose surviving vertices keep the host rotations and
-    whose dual boundary takes its rotation exactly from the boundary
-    graph through c."""
-    _check_embedding_rotations(be, rot_b, rot_left, rot_host)
-    comp = pushout_complement(be, solution)
-    rs = _context_rotation(be, comp, rot_b, rot_host)
-    report = validate_rotation(rs)
-    if not report.ok:
-        raise RotationError(report.errors)
-    return comp, rs
-
-
-def _check_embedding_rotations(be: BoundaryEmbedding, rot_b: RotationSystem,
-                               rot_left: RotationSystem,
-                               rot_host: RotationSystem) -> None:
-    for rs, g in ((rot_b, be.b.graph), (rot_left, be.left),
-                  (rot_host, be.host)):
-        if rs.graph != g or not validate_rotation(rs).ok:
-            raise RotationError("invalid rotation data for boundary embedding")
-    if not check_rot_morphism(be.l, rot_b, rot_left):
-        raise RotationError("l does not preserve rotations")
-    if not check_rot_morphism(be.m, rot_left, rot_host):
-        raise RotationError("m does not preserve rotations")
-
-
-def _context_rotation(be: BoundaryEmbedding, comp: ComplementResult,
-                      rot_b: RotationSystem,
-                      rot_host: RotationSystem) -> RotationSystem:
-    """The complement's rotation system, built from checked inputs and
-    not yet validated."""
-    inc: Dict[str, Tuple[Flag, ...]] = {}
-    g_fm = flag_map(comp.g)
-    inv: Dict[Flag, Flag] = {w: fl for fl, w in g_fm.items()}
-    for v in comp.g.vmap:  # surviving host vertices keep their rotation
-        host_rot = rot_host.rotation(comp.g.vmap[v])
-        inc[v] = tuple(inv[fl] for fl in host_rot)
-    c_fm = flag_map(comp.c)
-    inc[comp.dual_boundary] = tuple(
-        c_fm[fl] for fl in rot_b.rotation(be.b.dual_boundary))
-    return rotation_system(comp.context, inc)
 
 
 Dart = Tuple[str, str]  # (edge, "fwd" | "rev")
@@ -298,68 +202,3 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
         is_planar=all(r.genus == 0 for r in reports),
         embedding_underdetermined=len(reports) > 1,
     )
-
-
-def classify_re_pairings(be: BoundaryEmbedding, rot_b: RotationSystem,
-                         rot_left: RotationSystem, rot_host: RotationSystem,
-                         planar_only: bool = False):
-    """Every re-pairing solution together with the genus report of its
-    rotation-equipped complement, in deterministic order.
-
-    The embedding is checked once by the enumeration, then the rotation
-    data once; each solution then runs through the unchecked complement
-    core, and `genus_report` validates its constructed rotation once."""
-    solutions = enumerate_re_pairings(be)
-    _check_embedding_rotations(be, rot_b, rot_left, rot_host)
-    out = []
-    for solution in solutions:
-        rs = _context_rotation(be, _complement(be, solution), rot_b, rot_host)
-        report = genus_report(rs)
-        if planar_only and not report.is_planar:
-            continue
-        out.append((solution, report))
-    return out
-
-
-@dataclass(frozen=True)
-class RewriteTrace:
-    boundary: BoundaryGraph
-    match: GraphMorphism
-    solution: PairingGraph
-    complement: ComplementResult
-    result_pushout: PushoutResult
-    context_rotation: Optional[RotationSystem] = None
-    result_rotation: Optional[RotationSystem] = None
-
-
-def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
-            solution_index: Optional[int] = None,
-            rotations: Optional[Mapping[str, RotationSystem]] = None):
-    """One DPO step: complement of the match, then pushout against the
-    right-hand side.  Returns (result graph, trace).
-
-    The rule and the embedding are checked once and the re-pairing
-    solution is picked once (`dpo.pick_solution`).  With `rotations`,
-    keyed "boundary", "left", "right" and "host", the context takes its
-    rotation as in `rot_complement` and the result as in `rot_pushout`,
-    which validates the context rotation.
-    """
-    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
-    errors = validate_rule(rule) + validate_boundary_embedding(be)
-    if errors:
-        raise NotABoundaryEmbedding(errors)
-    solution = _pick(be, solution_index)
-    if rotations is not None:
-        rot_b, rot_host = rotations["boundary"], rotations["host"]
-        _check_embedding_rotations(be, rot_b, rotations["left"], rot_host)
-    comp = _complement(be, solution)
-    right_span = PartitioningSpan(rule.b, rule.right, comp.context,
-                                  rule.r, comp.c)
-    if rotations is None:
-        po, rs_ctx, rs_out = pushout(right_span), None, None
-    else:
-        rs_ctx = _context_rotation(be, comp, rot_b, rot_host)
-        po, rs_out = rot_pushout(right_span, rot_b, rotations["right"],
-                                 rs_ctx)
-    trace = RewriteTrace(rule.b, match, solution, comp, po, rs_ctx, rs_out)
-    return po.graph, trace

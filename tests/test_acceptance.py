@@ -130,8 +130,7 @@ def test_criterion_4_worked_examples(capsys, circle_host_embedding):
     doc = parse_document(
         (FIXTURES / "boundary_embedding_interleaving.json").read_text())
     be, rots = load_document(doc)
-    out = classify_re_pairings(be, rots["boundary"], rots["left"],
-                               rots["host"])
+    out = classify_re_pairings(be, rots)
     checks.append(len(out) == 1)
     checks.append(out[0][1].max_genus >= 1 and not out[0][1].is_planar)
 

@@ -2,8 +2,14 @@ import json
 
 import pytest
 
+from dpoembed import graph
 from dpoembed.cli import main
-from dpoembed.serialize import boundary_embedding_doc, print_document
+from dpoembed.matcher import MAX_MATCHES
+from dpoembed.serialize import (
+    boundary_embedding_doc,
+    graph_to_body,
+    print_document,
+)
 
 from conftest import FIXTURES, bouquet_embedding
 
@@ -189,6 +195,17 @@ def test_pushout_two_region(capsys):
     assert len(body["result"]["edges"]) == 2
 
 
+def test_pushout_with_rotations(capsys):
+    path = fixture("span_rotation_loop.json")
+    code, out, err = run(capsys, "pushout", "--rotations", path)
+    assert code == 0 and err == ""
+    result = json.loads(out)["body"]["result"]
+    assert len(result["circles"]) == 1
+    assert result["rotations"] == {}
+    _, out, _ = run(capsys, "pushout", path)
+    assert "rotations" not in json.loads(out)["body"]["result"]
+
+
 def test_complement_circle_host(capsys):
     code, out, _ = run(capsys, "complement",
                        fixture("boundary_embedding_circle_host.json"))
@@ -248,6 +265,19 @@ def test_match_fills_matches(capsys):
     assert code == 0
     body = json.loads(out)["body"]
     assert len(body["matches"]) == 4
+
+
+def test_match_over_the_cap_is_refused(capsys, tmp_path):
+    # the identity loop matches each host circle
+    doc = json.loads((FIXTURES / "match_identity_loop.json").read_text())
+    doc["body"]["host"] = graph_to_body(
+        graph([], {}, [f"o{i:05d}" for i in range(MAX_MATCHES + 1)]))
+    path = tmp_path / "circles.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "match", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: more than {MAX_MATCHES} matches\n"
 
 
 def test_rewrite_identity_rule(capsys):

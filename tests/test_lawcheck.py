@@ -1,8 +1,10 @@
 import pytest
 
 from dpoembed import (
+    BoundaryEmbedding,
     BoundaryGraph,
     PartitioningSpan,
+    enumerate_re_pairings,
     graph,
     morphism,
     pushout,
@@ -19,6 +21,8 @@ from dpoembed.lawcheck import (
     gen_spans,
     run_all,
 )
+
+from conftest import bouquet_embedding
 
 SMALL = GenBudget(max_vertices=2, max_edges=2, max_circles=1,
                   max_boundary_edges=2)
@@ -49,6 +53,36 @@ def test_law_holds_at_small_budget(name):
     report = check_lemma(name, SMALL, random_instances=5)
     assert report.instances > 0
     assert report.ok, report.counterexample
+
+
+def _loops_on_edge(k):
+    """k loops at the boundary image, each one blue pair, all mapped
+    onto one host edge: k! path orders."""
+    be = bouquet_embedding((k,))
+    host = graph(["x", "y"], {"h": ("x", "y")})
+    m = morphism(be.left, host, {}, {a: "h" for a in be.left.edges})
+    return BoundaryEmbedding(be.b, be.left, host, be.l, m)
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda: bouquet_embedding((3,)), 2),
+    (lambda: bouquet_embedding((4,)), 6),
+    (lambda: bouquet_embedding((2, 3)), 2),
+    (lambda: bouquet_embedding((3, 1)), 2),
+    (lambda: bouquet_embedding((5,)), 24),
+    (lambda: _loops_on_edge(2), 2),
+    (lambda: _loops_on_edge(3), 6),
+], ids=["circle-3", "circle-4", "circles-2-3", "circles-3-1", "circle-5",
+        "edge-2", "edge-3"])
+@pytest.mark.parametrize("name", ["ComplementRoundTrip",
+                                  "ComplementUniqueness",
+                                  "RePairingExistence"])
+def test_re_pairing_laws_with_several_solutions(name, make, count):
+    # the random generator draws at most one solution at the suite's
+    # budgets, so these laws meet a choice of re-pairing only here
+    be = make()
+    assert len(enumerate_re_pairings(be)) == count
+    assert LAWS[name].holds(be)
 
 
 def test_unknown_law():

@@ -81,7 +81,8 @@ def test_match_limit(loop_rule):
     # the loop sits at the boundary image, so each host circle is a match
     found = find_matches(MatchRequest(loop_rule, _circles(MAX_MATCHES)))
     assert len(found) == MAX_MATCHES
-    with pytest.raises(MatchLimitExceeded):
+    with pytest.raises(MatchLimitExceeded,
+                       match=f"^more than {MAX_MATCHES} matches$"):
         find_matches(MatchRequest(loop_rule, _circles(MAX_MATCHES + 1)))
 
 
@@ -125,8 +126,7 @@ def test_rotation_filter_keeps_preserving_match(rot_instance):
         "q": [Flag("hx", "tgt"), Flag("hz", "src"),
               Flag("hz", "tgt"), Flag("hy", "src")]})
     found = find_matches(MatchRequest(
-        rule, host, require_rotation_preservation=True,
-        host_rotation=rot_h, left_rotation=rot_l))
+        rule, host, {"left": rot_l, "host": rot_h}))
     assert len(found) == 1
     assert found[0].m.vmap == {"u": "q"}
 
@@ -140,8 +140,7 @@ def test_rotation_filter_drops_twisted_match(rot_instance):
     plain = find_matches(MatchRequest(rule, host))
     assert len(plain) == 1
     filtered = find_matches(MatchRequest(
-        rule, host, require_rotation_preservation=True,
-        host_rotation=twisted, left_rotation=rot_l))
+        rule, host, {"left": rot_l, "host": twisted}))
     assert filtered == []
 
 
@@ -154,8 +153,7 @@ def test_rotation_filter_matches_manual_check(rot_instance):
     plain = find_matches(MatchRequest(rule, host))
     manual = [mt for mt in plain if check_rot_morphism(mt.m, rot_l, rot_h)]
     filtered = find_matches(MatchRequest(
-        rule, host, require_rotation_preservation=True,
-        host_rotation=rot_h, left_rotation=rot_l))
+        rule, host, {"left": rot_l, "host": rot_h}))
     assert keys(filtered) == keys(manual)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +11,15 @@ from dpoembed import (
     check_rot_morphism,
     classify_re_pairings,
     cyclic_equal,
+    enumerate_re_pairings,
     find_matches,
     genus_report,
     graph,
     identity,
     morphism,
+    pushout,
+    pushout_complement,
     rewrite,
-    rot_complement,
-    rot_pushout,
     rotation_system,
     trace_faces,
     validate_rotation,
@@ -175,29 +177,27 @@ def _interleaving_fixture():
         "v": [Flag("a", "src"), Flag("a", "tgt"),
               Flag("b", "src"), Flag("b", "tgt")]})
     rot_h = rotation_system(host, {})
-    return be, rot_b, rot_l, rot_h
+    return be, {"boundary": rot_b, "left": rot_l, "host": rot_h}
 
 
 def test_circle_interleaving_complement_not_planar():
     # two nested loops around the boundary map onto one circle: the
     # unique re-pairing forces an interleaved dual boundary, so the
     # complement lives on the torus
-    be, rot_b, rot_l, rot_h = _interleaving_fixture()
-    out = classify_re_pairings(be, rot_b, rot_l, rot_h)
+    be, rots = _interleaving_fixture()
+    out = classify_re_pairings(be, rots)
     assert len(out) == 1
     _, report = out[0]
     assert report.max_genus >= 1
     assert not report.is_planar
-    assert classify_re_pairings(be, rot_b, rot_l, rot_h,
-                                planar_only=True) == []
 
 
 def test_rot_complement_dual_rotation_copied():
-    be, rot_b, rot_l, rot_h = _interleaving_fixture()
-    comp, rs = rot_complement(be, rot_b, rot_l, rot_h)
-    dual_rot = rs.rotation(comp.dual_boundary)
+    be, rots = _interleaving_fixture()
+    comp = pushout_complement(be, rotations=rots)
+    dual_rot = comp.rotation.rotation(comp.dual_boundary)
     mapped = tuple(Flag(comp.c.amap[fl.edge], fl.end)
-                   for fl in rot_b.rotation(be.b.dual_boundary))
+                   for fl in rots["boundary"].rotation(be.b.dual_boundary))
     assert dual_rot == mapped
 
 
@@ -212,19 +212,20 @@ def test_rot_pushout_preserves_rotations(two_edge_boundary, loop_left):
         "dbd": [Flag("e1", "tgt"), Flag("e2", "src")]})
     rot_l = rotation_system(left, {"v": [Flag("a", "src"), Flag("a", "tgt")]})
     rot_c = rotation_system(ctx, {"w": [Flag("c", "tgt"), Flag("c", "src")]})
-    po, rs = rot_pushout(span, rot_b, rot_l, rot_c)
+    po = pushout(span, {"boundary": rot_b, "left": rot_l, "context": rot_c})
     assert len(po.graph.circles) == 1
-    assert validate_rotation(rs).ok
+    assert validate_rotation(po.rotation).ok
+    assert pushout(span).rotation is None
 
 
 def test_rot_complement_rejects_non_preserving_leg():
-    be, rot_b, _, rot_h = _interleaving_fixture()
+    be, rots = _interleaving_fixture()
     # interleaved order at v disagrees with the nested boundary rotation
     bad_l = rotation_system(be.left, {
         "v": [Flag("a", "src"), Flag("b", "src"),
               Flag("a", "tgt"), Flag("b", "tgt")]})
-    with pytest.raises(RotationError):
-        rot_complement(be, rot_b, bad_l, rot_h)
+    with pytest.raises(RotationError, match="^l does not preserve"):
+        pushout_complement(be, rotations=dict(rots, left=bad_l))
 
 
 def _bouquet_on_circle(k):
@@ -254,7 +255,7 @@ def _bouquet_on_circle(k):
         "x": [Flag("f", "src"), Flag("h", "tgt")],
         "y": [Flag("g", "src"), Flag("f", "tgt")],
         "z": [Flag("h", "src"), Flag("g", "tgt")]})
-    return be, rot_b, rot_l, rot_h
+    return be, {"boundary": rot_b, "left": rot_l, "host": rot_h}
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -269,20 +270,24 @@ def test_classify_re_pairings_validates_each_rotation_once(monkeypatch, k):
 
 
 def test_classify_re_pairings_agrees_with_rot_complement():
-    be, rot_b, rot_l, rot_h = _bouquet_on_circle(4)
-    for solution, report in classify_re_pairings(be, rot_b, rot_l, rot_h):
-        _, rs = rot_complement(be, rot_b, rot_l, rot_h, solution)
-        assert report == genus_report(rs)
+    be, rots = _bouquet_on_circle(4)
+    solutions = enumerate_re_pairings(be)
+    out = classify_re_pairings(be, rots)
+    assert [s for s, _ in out] == solutions
+    for i, (_, report) in enumerate(out):
+        comp = pushout_complement(be, i, rots)
+        assert report == genus_report(comp.rotation)
 
 
 def test_classify_re_pairings_checks_embedding_before_rotations():
-    be, rot_b, rot_l, rot_h = _bouquet_on_circle(4)
+    be, rots = _bouquet_on_circle(4)
     bad_be = BoundaryEmbedding(be.b, be.left, be.host, be.l,
                                morphism(be.left, be.host, {}, {}))
+    wrong = dict(rots, host=rots["left"])
     with pytest.raises(BoundaryEmbeddingInvariantViolated):
-        classify_re_pairings(bad_be, rot_b, rot_l, rot_l)
+        classify_re_pairings(bad_be, wrong)
     with pytest.raises(RotationError):
-        classify_re_pairings(be, rot_b, rot_l, rot_l)
+        classify_re_pairings(be, wrong)
 
 
 def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
@@ -293,16 +298,51 @@ def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
     for mt in matches:
         result, trace = rewrite(rule, host, mt.m, rotations=rots)
         be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, mt.m)
-        comp, rs_ctx = rot_complement(be, rots["boundary"], rots["left"],
-                                      rots["host"])
-        po, rs = rot_pushout(
+        comp = pushout_complement(be, rotations=rots)
+        po = pushout(
             PartitioningSpan(rule.b, rule.right, comp.context, rule.r,
                              comp.c),
-            rots["boundary"], rots["right"], rs_ctx)
+            {"boundary": rots["boundary"], "left": rots["right"],
+             "context": comp.rotation})
         assert result == po.graph == trace.result_pushout.graph
         assert trace.complement == comp
-        assert trace.context_rotation == rs_ctx
-        assert trace.result_rotation == rs
+        assert trace.result_pushout == po
         _, plain = rewrite(rule, host, mt.m)
-        assert plain.result_pushout == po
-        assert plain.context_rotation is None and plain.result_rotation is None
+        assert plain.result_pushout == replace(po, rotation=None)
+        assert plain.complement == replace(comp, rotation=None)
+
+
+def _rotation_entries():
+    """Each entry that takes rotations, as a function of the mapping,
+    with a complete mapping for it."""
+    _, (span, span_rots) = read_document(
+        (FIXTURES / "span_rotation_loop.json").read_text())
+    be, be_rots = _interleaving_fixture()
+    _, (rule, host, _, rots) = read_document(
+        (FIXTURES / "match_rotation_loop.json").read_text())
+    m = find_matches(MatchRequest(rule, host))[0].m
+    return {
+        "pushout": (lambda r: pushout(span, r), span_rots),
+        "pushout_complement": (
+            lambda r: pushout_complement(be, rotations=r), be_rots),
+        "classify_re_pairings": (
+            lambda r: classify_re_pairings(be, r), be_rots),
+        "rewrite": (lambda r: rewrite(rule, host, m, rotations=r), rots),
+        "find_matches": (
+            lambda r: find_matches(MatchRequest(rule, host, r)),
+            {"left": rots["left"], "host": rots["host"]}),
+    }
+
+
+@pytest.mark.parametrize("entry", ["pushout", "pushout_complement",
+                                   "classify_re_pairings", "rewrite",
+                                   "find_matches"])
+def test_missing_role_is_named(entry):
+    call, rots = _rotation_entries()[entry]
+    call(rots)
+    for role in rots:
+        absent = {k: v for k, v in rots.items() if k != role}
+        for partial in (absent, dict(absent, **{role: None})):
+            with pytest.raises(RotationError,
+                               match=f"^rotations required on: {role}$"):
+                call(partial)

@@ -63,6 +63,24 @@ def test_lawcheck_uses_no_private_name_of_the_library():
     assert not found
 
 
+def test_rotation_imports_only_graph_and_morphism():
+    # the topology layer sits below the rewriting engine that uses it
+    tree = ast.parse((SRC / "rotation.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("dpoembed")):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "dpoembed"):
+                found += [alias.name for alias in node.names]
+            elif module not in ("graph", "morphism"):
+                found.append(module)
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "dpoembed"]
+    assert not found
+
+
 def _cli(flags, argv):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, *flags, "-m", "dpoembed.cli",
@@ -78,8 +96,9 @@ def _cli(flags, argv):
     (["repairings", "--classify-genus",
       "boundary_embedding_three_pairs.json"], 1),
     (["rewrite", "--rotations", "match_rotation_loop.json"], 0),
+    (["pushout", "--rotations", "span_rotation_loop.json"], 0),
 ], ids=["rewrite", "classify-genus", "rot-complement", "missing-rotations",
-        "rot-rewrite"])
+        "rot-rewrite", "rot-pushout"])
 def test_cli_output_is_the_same_under_optimize(argv, code):
     # the unchecked cores must not lean on anything `-O` strips
     argv = argv[:-1] + [str(FIXTURES / argv[-1])]
