@@ -84,8 +84,6 @@ from .rotation import (
     validate_rotation,
 )
 from .matcher import (
-    Match,
-    MatchRequest,
     MatcherError,
     check_match,
     find_matches,

@@ -32,7 +32,7 @@ from .lawcheck import (
     UnknownLaw,
     check_lemma,
 )
-from .matcher import MatcherError, MatchRequest, find_matches
+from .matcher import MatcherError, find_matches
 from .morphism import classify
 from .rotation import RotationError, genus_report
 from .serialize import (
@@ -144,10 +144,9 @@ def cmd_repairings(args) -> int:
 
 def cmd_match(args) -> int:
     doc, (rule, host, _, rots) = _parse(args.file, args.lenient, ("match",))
-    matches = find_matches(MatchRequest(rule, host,
-                                        rots if args.rotations else None))
+    matches = find_matches(rule, host, rots if args.rotations else None)
     body = dict(doc.body)
-    body["matches"] = [serialize.map_to_body(mt.m) for mt in matches]
+    body["matches"] = [serialize.map_to_body(be.m) for be in matches]
     _emit(Document("match", body))
     return EXIT_OK
 
@@ -155,21 +154,18 @@ def cmd_match(args) -> int:
 def cmd_rewrite(args) -> int:
     _, (rule, host, given, rots) = _parse(args.file, args.lenient,
                                           ("match",))
-    if given:
-        candidates = given
-    else:
-        candidates = [mt.m for mt in find_matches(MatchRequest(rule, host))]
+    candidates = given or find_matches(rule, host)
     if not 0 <= args.match < len(candidates):
         raise CliFailure(
             f"match index {args.match} not in [0, {len(candidates)})")
-    m = candidates[args.match]
+    m = candidates[args.match].m
     _, trace = rewrite(rule, host, m, args.solution,
                        rots if args.rotations else None)
     po = trace.result_pushout
     _emit(Document("trace", {
         "operation": "rewrite",
         "match": serialize.map_to_body(m),
-        "solution": serialize.solution_to_body(trace.solution),
+        "solution": serialize.solution_to_body(trace.complement.solution),
         "context": serialize.graph_to_body(trace.complement.context),
         "result": serialize.graph_to_body(po.graph, po.rotation),
         "right_leg": serialize.map_to_body(po.m),

@@ -367,10 +367,7 @@ def validate_rule(rule: RewriteRule):
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    boundary: BoundaryGraph
-    match: GraphMorphism
-    solution: PairingGraph
-    complement: ComplementResult
+    complement: ComplementResult  # carries the re-pairing solution
     result_pushout: PushoutResult
 
 
@@ -400,17 +397,18 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
         PartitioningSpan(rule.b, rule.right, comp.context, rule.r, comp.c),
         None if rots is None else {"boundary": rots[0], "left": rots[3],
                                    "context": comp.rotation})
-    return po.graph, RewriteTrace(rule.b, match, solution, comp, po)
+    return po.graph, RewriteTrace(comp, po)
 
 
 def iso_check(g1: Graph, g2: Graph):
     """Search for an isomorphism preserving sources and targets.
 
     Exhaustive backtracking with degree-signature pruning; intended for
-    desk-scale graphs, hence the `ISO_MAX_VERTICES` cap.  Each graph's
-    signatures and (source, target) pair counts are tabulated in one
-    pass over its edges, so testing a candidate vertex costs one lookup
-    per mapped vertex.  Returns (vmap, amap) or None.
+    desk-scale graphs, hence the `ISO_MAX_VERTICES` cap.  g1 is searched
+    breadth-first from each component's least (signature, id) vertex; a
+    vertex with a mapped BFS parent tries only the neighbours of the
+    parent's image, and a candidate is tested against its mapped
+    neighbours only.  Returns (vmap, amap) or None.
     """
     if max(len(g1.vertices), len(g2.vertices)) > ISO_MAX_VERTICES:
         raise SizeLimitExceeded(f"more than {ISO_MAX_VERTICES} vertices")
@@ -420,9 +418,10 @@ def iso_check(g1: Graph, g2: Graph):
         return None
 
     def profile(g: Graph):
-        """(vertex -> (out, in, loops), (source, target) -> edge count)."""
+        """(vertex -> (out, in, loops), pair -> count, neighbours)."""
         sig = {v: [0, 0, 0] for v in g.vertices}
         counts: Dict[Tuple[str, str], int] = {}
+        near = {v: set() for v in g.vertices}
         for s, t in g.edges.values():
             counts[(s, t)] = counts.get((s, t), 0) + 1
             if s in sig:
@@ -431,41 +430,67 @@ def iso_check(g1: Graph, g2: Graph):
                 sig[t][1] += 1
                 if s == t:
                     sig[t][2] += 1
-        return {v: tuple(x) for v, x in sig.items()}, counts
+            if s != t and s in near and t in near:
+                near[s].add(t)
+                near[t].add(s)
+        return ({v: tuple(x) for v, x in sig.items()}, counts,
+                {v: sorted(ns) for v, ns in near.items()})
 
-    sig1, counts1 = profile(g1)
-    sig2, counts2 = profile(g2)
+    sig1, counts1, near1 = profile(g1)
+    sig2, counts2, near2 = profile(g2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
 
-    order = sorted(g1.vertices, key=lambda v: (sig1[v], v))
+    order: List[str] = []
+    parent: Dict[str, Optional[str]] = {}
+    for root in sorted(g1.vertices, key=lambda v: (sig1[v], v)):
+        if root in parent:
+            continue
+        parent[root] = None
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            for u in near1[order[i]]:
+                if u not in parent:
+                    parent[u] = order[i]
+                    order.append(u)
+            i += 1
     candidates = sorted(g2.vertices)
     vmap: Dict[str, str] = {}
-    used = set()
+    preimage: Dict[str, str] = {}
 
     def consistent(v, w):
-        # Edge-pair counts between already-mapped vertices must match.
-        for u, x in vmap.items():
-            if (counts1.get((u, v), 0) != counts2.get((x, w), 0)
+        # Edge-pair counts with mapped neighbours must match, and a
+        # mapped neighbour of w must be the image of a neighbour of v;
+        # the signatures already agree on self-loops.
+        for u in near1[v]:
+            x = vmap.get(u)
+            if x is not None and (
+                    counts1.get((u, v), 0) != counts2.get((x, w), 0)
                     or counts1.get((v, u), 0) != counts2.get((w, x), 0)):
                 return False
-        return counts1.get((v, v), 0) == counts2.get((w, w), 0)
+        for x in near2[w]:
+            u = preimage.get(x)
+            if u is not None and u not in near1[v]:
+                return False
+        return True
 
     def backtrack(i):
         if i == len(order):
             return True
         v = order[i]
-        for w in candidates:
-            if w in used or sig2[w] != sig1[v]:
+        p = parent[v]
+        for w in candidates if p is None else near2[vmap[p]]:
+            if w in preimage or sig2[w] != sig1[v]:
                 continue
             if not consistent(v, w):
                 continue
             vmap[v] = w
-            used.add(w)
+            preimage[w] = v
             if backtrack(i + 1):
                 return True
             del vmap[v]
-            used.remove(w)
+            del preimage[w]
         return False
 
     if not backtrack(0):

@@ -785,12 +785,8 @@ def run_all(budget: GenBudget = DEFAULT_BUDGET, random_instances: int = 0,
 
 def brute_force_matches(rule: RewriteRule, host: Graph):
     """All valid matches by enumerating every map from L to the host."""
-    out = []
-    seen = set()
-    for f in _enumerate_maps(rule.left, host):
-        checked = check_match(rule, host, f)
-        if checked.ok and f.key() not in seen:
-            seen.add(f.key())
-            out.append(checked.match)
-    out.sort(key=lambda mt: mt.m.key())
+    out = [BoundaryEmbedding(rule.b, rule.left, host, rule.l, f)
+           for f in _enumerate_maps(rule.left, host)
+           if not check_match(rule, host, f)]
+    out.sort(key=lambda be: be.m.key())
     return out

@@ -13,13 +13,12 @@ the search for soundness and completeness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import SRC, TGT, Graph, degree, flags_at, is_connected
 from .morphism import GraphMorphism, classify, morphism
 from .boundary import BoundaryEmbedding, validate_boundary_embedding
-from .dpo import Rotations, RewriteRule, _roles, validate_rule
+from .dpo import Rotations, RewriteRule, _check_rotations, _roles, validate_rule
 from .rotation import check_rot_morphism
 
 
@@ -38,33 +37,10 @@ class MatchLimitExceeded(MatcherError):
 MAX_MATCHES = 10000  # a search stops at the first match past this
 
 
-@dataclass(frozen=True)
-class MatchRequest:
-    rule: RewriteRule
-    host: Graph
-    # keyed "left" and "host": keep only rotation-preserving matches
-    rotations: Rotations = None
-
-
-@dataclass(frozen=True)
-class Match:
-    m: GraphMorphism
-    boundary_embedding: BoundaryEmbedding
-
-
-@dataclass(frozen=True)
-class MatchCheck:
-    match: Optional[Match]
-    failures: Tuple[Tuple[str, str], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.match is not None
-
-
 def check_match(rule: RewriteRule, host: Graph,
-                m: GraphMorphism) -> MatchCheck:
-    """Validate a candidate match condition by condition."""
+                m: GraphMorphism) -> List[Tuple[str, str]]:
+    """Validate a candidate match condition by condition; the list of
+    failures is empty when `m` is a match."""
     failures = list(validate_rule(rule))
     boundary_image = rule.l.v(rule.b.boundary)
     cls = classify(m)
@@ -79,9 +55,7 @@ def check_match(rule: RewriteRule, host: Graph,
     be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
     failures.extend(e for e in validate_boundary_embedding(be)
                     if e not in failures)
-    if failures:
-        return MatchCheck(None, tuple(failures))
-    return MatchCheck(Match(m, be))
+    return failures
 
 
 def _flag_bijections(l_flags, h_flags):
@@ -100,12 +74,15 @@ def _flag_bijections(l_flags, h_flags):
                 zip(by_end_l[TGT], tgt_perm))
 
 
-def find_matches(req: MatchRequest) -> List[Match]:
-    """All matches of the rule's left-hand side into the host, only the
-    rotation-preserving ones when the request carries rotations."""
-    rots = _roles(req.rotations, ("left", "host"))
-    rule, host = req.rule, req.host
+def find_matches(rule: RewriteRule, host: Graph,
+                 rotations: Rotations = None) -> List[BoundaryEmbedding]:
+    """All matches of the rule's left-hand side into the host, as
+    boundary embeddings sorted by match; with `rotations`, keyed "left"
+    and "host", only the rotation-preserving ones."""
+    rots = _roles(rotations, ("left", "host"))
     left = rule.left
+    if rots is not None:
+        _check_rotations("match", rots, (left, host), ())
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
     # The rule's half of the boundary-embedding conditions, once per
@@ -122,7 +99,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
         [e for e in left.edges
          if left.edges[e] == (boundary_image, boundary_image)]
         + list(left.circles))
-    results: List[Match] = []
+    results: List[BoundaryEmbedding] = []
 
     def record(vmap, amap):
         # vmap covers exactly the interior, and distinct vertex maps,
@@ -131,8 +108,7 @@ def find_matches(req: MatchRequest) -> List[Match]:
         m = morphism(left, host, vmap, amap)
         if not classify(m).is_embedding:
             return
-        be = BoundaryEmbedding(rule.b, left, host, rule.l, m)
-        results.append(Match(m, be))
+        results.append(BoundaryEmbedding(rule.b, left, host, rule.l, m))
         if len(results) > MAX_MATCHES:
             raise MatchLimitExceeded(f"more than {MAX_MATCHES} matches")
 
@@ -195,6 +171,6 @@ def find_matches(req: MatchRequest) -> List[Match]:
         backtrack(0, {}, set())
 
     if rots is not None:
-        results = [mt for mt in results if check_rot_morphism(mt.m, *rots)]
-    results.sort(key=lambda mt: mt.m.key())
+        results = [be for be in results if check_rot_morphism(be.m, *rots)]
+    results.sort(key=lambda be: be.m.key())
     return results

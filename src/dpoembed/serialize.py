@@ -78,10 +78,6 @@ def _check_fields(obj: Mapping, allowed, required, where: str,
 # ---------------------------------------------------------------------------
 # graphs and rotations
 
-def _flag_to_token(fl: Flag) -> str:
-    return f"{fl.edge}.{fl.end}"
-
-
 def _flag_from_token(token: str, where: str) -> Flag:
     edge, dot, end = token.rpartition(".")
     if not dot or end not in (SRC, TGT):
@@ -99,7 +95,7 @@ def graph_to_body(g: Graph,
     }
     if rotations is not None:
         body["rotations"] = {
-            v: [_flag_to_token(fl) for fl in rotations.rotation(v)]
+            v: [str(fl) for fl in rotations.rotation(v)]
             for v in g.sorted_vertices()
         }
     return body
@@ -335,14 +331,7 @@ def read_document(text: str, lenient: bool = False):
                   {"format_version", "kind", "body"}, "document", lenient)
     if payload["format_version"] != FORMAT_VERSION:
         raise VersionMismatch(payload["format_version"])
-    kind = payload["kind"]
-    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
-        raise ValidationFailed(f"unknown document kind {kind!r}")
-    body = payload["body"]
-    allowed, required = _BODY_FIELDS[kind]
-    if allowed is not None:
-        _check_fields(body, allowed, required, kind, lenient)
-    doc = Document(kind, body)
+    doc = Document(payload["kind"], payload["body"])
     return doc, load_document(doc, lenient=lenient)
 
 
@@ -361,11 +350,18 @@ def load_document(doc: Document, lenient: bool = False):
     """Reconstruct the domain object a document describes.
 
     Returns per kind: graph -> (Graph, None); rotation_graph ->
-    (Graph, RotationSystem); morphism -> GraphMorphism; rule ->
-    (RewriteRule, rots); span -> (PartitioningSpan, rots);
-    boundary_embedding -> (BoundaryEmbedding, rots); others -> body.
+    (Graph, RotationSystem); morphism -> (GraphMorphism, dom rotation,
+    cod rotation); rule -> (RewriteRule, rots); span ->
+    (PartitioningSpan, rots); boundary_embedding -> (BoundaryEmbedding,
+    rots); match -> (RewriteRule, host, listed matches as
+    BoundaryEmbeddings, rots); others -> body.
     """
     body = doc.body
+    if not isinstance(doc.kind, str) or doc.kind not in _BODY_FIELDS:
+        raise ValidationFailed(f"unknown document kind {doc.kind!r}")
+    allowed, required = _BODY_FIELDS[doc.kind]
+    if allowed is not None:
+        _check_fields(body, allowed, required, doc.kind, lenient)
     if doc.kind in ("graph", "rotation_graph"):
         g, rs = graph_from_body(body, doc.kind, lenient)
         if doc.kind == "rotation_graph" and rs is None:
@@ -393,14 +389,14 @@ def load_document(doc: Document, lenient: bool = False):
             raise ValidationFailed(f"{doc.kind}: {errors}")
         return obj, {"boundary": b_rot, "left": l_rot, other: g_rot}
     if doc.kind == "match":
-        _check_fields(body["rule"], *_BODY_FIELDS["rule"], "rule", lenient)
         rule, rots = load_document(Document("rule", body["rule"]), lenient)
         host, h_rot = graph_from_body(body["host"], "host", lenient)
         entries = body.get("matches", [])
         if not isinstance(entries, list):
             raise FieldTypeError("match.matches: expected a list")
         matches = [
-            map_from_body(entry, rule.left, host, f"matches[{i}]", lenient)
+            BoundaryEmbedding(rule.b, rule.left, host, rule.l, map_from_body(
+                entry, rule.left, host, f"matches[{i}]", lenient))
             for i, entry in enumerate(entries)
         ]
         rots["host"] = h_rot

@@ -11,7 +11,6 @@ from dpoembed import (
     EMBEDDING,
     BoundaryGraph,
     Flag,
-    MatchRequest,
     RewriteRule,
     blue_half,
     classify,
@@ -212,8 +211,8 @@ def test_criterion_6_determinism_and_round_trips(capsys):
         if doc.kind not in ("graph", "rotation_graph"):
             continue
         host, _ = load_document(doc)
-        for mt in find_matches(MatchRequest(rule, host)):
-            result, _ = rewrite(rule, host, mt.m)
+        for be in find_matches(rule, host):
+            result, _ = rewrite(rule, host, be.m)
             checks.append(iso_check(result, host) is not None)
 
     report(capsys, 6, all(checks),

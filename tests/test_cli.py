@@ -292,6 +292,19 @@ def test_rewrite_identity_rule(capsys):
             == len(host["edges"]) + len(host.get("circles", [])))
 
 
+def test_rewrite_on_listed_matches_is_rewrite_on_searched_ones(capsys,
+                                                             tmp_path):
+    original = fixture("match_identity_loop.json")
+    _, listed, _ = run(capsys, "match", original)
+    path = tmp_path / "listed.json"
+    path.write_text(listed)
+    assert len(json.loads(listed)["body"]["matches"]) == 4
+    for i in range(4):
+        given = run(capsys, "rewrite", "--match", str(i), str(path))
+        assert given[0] == 0
+        assert given == run(capsys, "rewrite", "--match", str(i), original)
+
+
 def test_rewrite_match_index_out_of_range(capsys):
     code, _, err = run(capsys, "rewrite", "--match", "99",
                        fixture("match_identity_loop.json"))

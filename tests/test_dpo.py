@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -89,13 +90,12 @@ def test_complement_round_trip(circle_host_embedding):
 
 
 def test_rewrite_identity_rule(loop_rule, mixed_host):
-    from dpoembed import MatchRequest, find_matches
-    matches = find_matches(MatchRequest(loop_rule, mixed_host))
+    from dpoembed import find_matches
+    matches = find_matches(loop_rule, mixed_host)
     assert len(matches) == len(mixed_host.arcs())
-    for mt in matches:
-        result, trace = rewrite(loop_rule, mixed_host, mt.m)
+    for be in matches:
+        result, _ = rewrite(loop_rule, mixed_host, be.m)
         assert iso_check(result, mixed_host) is not None
-        assert trace.solution.key() == trace.complement.solution.key()
 
 
 def test_rewrite_rejects_non_match(loop_rule, mixed_host):
@@ -105,11 +105,11 @@ def test_rewrite_rejects_non_match(loop_rule, mixed_host):
 
 
 def test_rewrite_solution_index_out_of_range(loop_rule, mixed_host):
-    from dpoembed import MatchRequest, find_matches
-    mt = find_matches(MatchRequest(loop_rule, mixed_host))[0]
+    from dpoembed import find_matches
+    be = find_matches(loop_rule, mixed_host)[0]
     with pytest.raises(SolutionIndexOutOfRange,
                        match=r"^solution index 99 not in \[0, 1\)$"):
-        rewrite(loop_rule, mixed_host, mt.m, solution_index=99)
+        rewrite(loop_rule, mixed_host, be.m, solution_index=99)
 
 
 def test_pick_solution_is_canonical_or_indexed(circle_host_embedding):
@@ -165,14 +165,30 @@ def _cycle(names, prefix):
                          for i in range(n)})
 
 
+def _torus(names, prefix):
+    """The 8x8 directed torus on 64 names, one right and one down arc
+    per vertex."""
+    at = lambda r, c: names[8 * (r % 8) + c % 8]
+    return graph(names, {
+        f"{prefix}{d}{r}{c}": (at(r, c), at(r + dr, c + dc))
+        for r in range(8) for c in range(8)
+        for d, (dr, dc) in enumerate(((0, 1), (1, 0)))})
+
+
 def test_iso_check_at_its_vertex_cap():
-    # g1's id order follows the cycle; g2 is the same cycle relabelled
-    g1 = _cycle([f"v{i:02d}" for i in range(64)], "e")
+    # g1's id order follows the cycle (or the torus rows); g2 is the
+    # same graph relabelled, so its id order follows neither
     perm = [(17 * i + 5) % 64 for i in range(64)]
-    g2 = _cycle([f"w{perm[i]}" for i in range(64)], "d")
-    iso = iso_check(g1, g2)
-    assert iso is not None
-    _assert_isomorphism(g1, g2, iso)
+    ordered = [f"v{i:02d}" for i in range(64)]
+    shuffled = [f"w{perm[i]}" for i in range(64)]
+    for build in (_cycle, _torus):
+        g1, g2 = build(ordered, "e"), build(shuffled, "d")
+        for a, b in ((g1, g2), (g2, g1)):
+            start = time.perf_counter()
+            iso = iso_check(a, b)
+            assert time.perf_counter() - start < 1.0
+            assert iso is not None
+            _assert_isomorphism(a, b, iso)
 
 
 def test_iso_check_size_limit():
@@ -207,6 +223,13 @@ def test_iso_check_equal_signatures_not_isomorphic():
     assert not _brute_force_isomorphic(c6, two_c3)
     assert iso_check(c6, two_c3) is None
     assert iso_check(two_c3, c6) is None
+    # the same signatures at the vertex cap, two_c32's ids shuffled
+    c64 = _cycle([f"a{i:02d}" for i in range(64)], "e")
+    b = [f"b{(17 * i + 5) % 64}" for i in range(64)]
+    two_c32 = graph(b, {f"d{i:02d}": (b[i], b[i // 32 * 32 + (i + 1) % 32])
+                        for i in range(64)})
+    assert iso_check(c64, two_c32) is None
+    assert iso_check(two_c32, c64) is None
 
 
 @st.composite

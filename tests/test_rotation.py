@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dpoembed import (
     Flag,
-    MatchRequest,
     check_rot_morphism,
     classify_re_pairings,
     cyclic_equal,
@@ -293,11 +292,10 @@ def test_classify_re_pairings_checks_embedding_before_rotations():
 def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
     _, (rule, host, _, rots) = read_document(
         (FIXTURES / "match_rotation_loop.json").read_text())
-    matches = find_matches(MatchRequest(rule, host))
+    matches = find_matches(rule, host)
     assert matches
-    for mt in matches:
-        result, trace = rewrite(rule, host, mt.m, rotations=rots)
-        be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, mt.m)
+    for be in matches:
+        result, trace = rewrite(rule, host, be.m, rotations=rots)
         comp = pushout_complement(be, rotations=rots)
         po = pushout(
             PartitioningSpan(rule.b, rule.right, comp.context, rule.r,
@@ -307,7 +305,7 @@ def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
         assert result == po.graph == trace.result_pushout.graph
         assert trace.complement == comp
         assert trace.result_pushout == po
-        _, plain = rewrite(rule, host, mt.m)
+        _, plain = rewrite(rule, host, be.m)
         assert plain.result_pushout == replace(po, rotation=None)
         assert plain.complement == replace(comp, rotation=None)
 
@@ -320,7 +318,7 @@ def _rotation_entries():
     be, be_rots = _interleaving_fixture()
     _, (rule, host, _, rots) = read_document(
         (FIXTURES / "match_rotation_loop.json").read_text())
-    m = find_matches(MatchRequest(rule, host))[0].m
+    m = find_matches(rule, host)[0].m
     return {
         "pushout": (lambda r: pushout(span, r), span_rots),
         "pushout_complement": (
@@ -329,7 +327,7 @@ def _rotation_entries():
             lambda r: classify_re_pairings(be, r), be_rots),
         "rewrite": (lambda r: rewrite(rule, host, m, rotations=r), rots),
         "find_matches": (
-            lambda r: find_matches(MatchRequest(rule, host, r)),
+            lambda r: find_matches(rule, host, r),
             {"left": rots["left"], "host": rots["host"]}),
     }
 
@@ -346,3 +344,13 @@ def test_missing_role_is_named(entry):
             with pytest.raises(RotationError,
                                match=f"^rotations required on: {role}$"):
                 call(partial)
+
+
+def test_find_matches_checks_the_rotations_it_is_given():
+    _, (rule, host, _, rots) = read_document(
+        (FIXTURES / "match_rotation_loop.json").read_text())
+    assert len(find_matches(rule, host, rots)) == 2
+    for wrong in ({"left": rots["host"], "host": rots["left"]},
+                  {"left": rots["boundary"], "host": rots["host"]}):
+        with pytest.raises(RotationError, match="^invalid rotation data"):
+            find_matches(rule, host, wrong)

@@ -140,6 +140,27 @@ def test_match_document_loads_rule_and_host():
     assert matches == []
 
 
+def test_load_document_names_a_missing_field():
+    def body(name, drop, part=None):
+        out = json.loads((FIXTURES / name).read_text())["body"]
+        del (out[part] if part else out)[drop]
+        return out
+
+    cases = [
+        (Document("morphism", {}), "morphism: missing field 'cod'"),
+        (Document("span", body("span_two_cycle.json", "context_map")),
+         "span: missing field 'context_map'"),
+        (Document("match", body("match_identity_loop.json", "host")),
+         "match: missing field 'host'"),
+        (Document("match", body("match_identity_loop.json", "right_map",
+                                "rule")),
+         "rule: missing field 'right_map'"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ValidationFailed, match=f"^{message}$"):
+            load_document(doc)
+
+
 def test_rotation_graph_requires_rotations():
     body = {"vertices": [], "edges": {}, "rotations": {}}
     doc = parse_document(json.dumps(
