@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from .graph import Graph, _union_find, is_connected, validate_graph
+from .graph import Graph, is_connected, validate_graph
 from .morphism import GraphMorphism, classify
 
 POS = "+"
@@ -83,23 +83,30 @@ class PartitioningSpan:
     c: GraphMorphism
 
 
-def validate_span(span: PartitioningSpan):
-    errors = validate_boundary_graph(span.b)
-    for name, leg, defined, undefined in (
-        ("l", span.l, span.b.boundary, span.b.dual_boundary),
-        ("c", span.c, span.b.dual_boundary, span.b.boundary),
-    ):
-        if leg.v(defined) is None:
-            errors.append(("LegUndefinedOnItsVertex", f"{name} at {defined}"))
-        if leg.v(undefined) is not None:
-            errors.append(("LegDefinedOnWrongVertex", f"{name} at {undefined}"))
-        if not classify(leg).is_embedding:
-            errors.append(("LegNotEmbedding", name))
-    if span.l.dom != span.b.graph or span.c.dom != span.b.graph:
-        errors.append(("LegDomainMismatch", ""))
-    if span.l.cod != span.left or span.c.cod != span.context:
-        errors.append(("LegCodomainMismatch", ""))
+def _leg_errors(name: str, leg: GraphMorphism, b: BoundaryGraph,
+                cod: Graph, at: str):
+    """The conditions on a leg B -> cod: defined on B's vertex `at` and
+    not on the other one, an embedding, and between the right graphs."""
+    other = b.dual_boundary if at == b.boundary else b.boundary
+    errors = []
+    if leg.v(at) is None:
+        errors.append(("LegUndefinedOnItsVertex", name))
+    if leg.v(other) is not None:
+        errors.append(("LegDefinedOnWrongVertex", name))
+    if not classify(leg).is_embedding:
+        errors.append(("LegNotEmbedding", name))
+    if leg.dom != b.graph:
+        errors.append(("LegDomainMismatch", name))
+    if leg.cod != cod:
+        errors.append(("LegCodomainMismatch", name))
     return errors
+
+
+def validate_span(span: PartitioningSpan):
+    b = span.b
+    return (validate_boundary_graph(b)
+            + _leg_errors("l", span.l, b, span.left, b.boundary)
+            + _leg_errors("c", span.c, b, span.context, b.dual_boundary))
 
 
 def check_span(span: PartitioningSpan) -> None:
@@ -125,13 +132,15 @@ class BoundaryEmbedding:
 
 
 def validate_boundary_embedding(be: BoundaryEmbedding):
-    errors = validate_boundary_graph(be.b)
-    if be.l.v(be.b.boundary) is None:
-        errors.append(("LegUndefinedOnBoundary", "l"))
-    if be.l.v(be.b.dual_boundary) is not None:
-        errors.append(("LegDefinedOnDualBoundary", "l"))
-    if not classify(be.l).is_embedding:
-        errors.append(("LegNotEmbedding", "l"))
+    b = be.b
+    return (validate_boundary_graph(b)
+            + _leg_errors("l", be.l, b, be.left, b.boundary)
+            + _match_errors(be))
+
+
+def _match_errors(be: BoundaryEmbedding):
+    """The conditions on m and on L, given a valid left leg."""
+    errors = []
     if not classify(be.m).is_embedding:
         errors.append(("MatchNotEmbedding", "m"))
     lb = be.l.v(be.b.boundary)
@@ -139,10 +148,10 @@ def validate_boundary_embedding(be: BoundaryEmbedding):
         errors.append(("MatchDefinedOnBoundaryImage", lb))
     if not is_connected(be.left):
         errors.append(("LeftNotConnected", ""))
-    if be.l.dom != be.b.graph or be.l.cod != be.left:
-        errors.append(("LegDomainMismatch", "l"))
-    if be.m.dom != be.left or be.m.cod != be.host:
+    if be.m.dom != be.left:
         errors.append(("LegDomainMismatch", "m"))
+    if be.m.cod != be.host:
+        errors.append(("LegCodomainMismatch", "m"))
     return errors
 
 
@@ -168,23 +177,6 @@ class PairingGraph:
 
     def key(self):
         return (self.nodes, tuple(sorted(self.blue)), tuple(sorted(self.red)))
-
-    def components(self) -> List[Tuple[str, ...]]:
-        """Connected components, each as a sorted node tuple."""
-        root = _union_find(self.nodes, itertools.chain(self.blue, self.red))
-        groups: Dict[str, list] = {}
-        for n in self.nodes:
-            groups.setdefault(root[n], []).append(n)
-        return [tuple(sorted(groups[r])) for r in sorted(groups)]
-
-    def is_cycle_component(self, comp) -> bool:
-        deg = {n: 0 for n in comp}
-        for a, b in itertools.chain(self.blue, self.red):
-            if a in deg:
-                deg[a] += 1
-            if b in deg:
-                deg[b] += 1
-        return all(d == 2 for d in deg.values()) and len(comp) > 0
 
 
 def _pairs_from_identifications(b: BoundaryGraph, leg: GraphMorphism):

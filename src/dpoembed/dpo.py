@@ -27,7 +27,7 @@ from .graph import (
     induced_subgraph,
     validate_graph,
 )
-from .morphism import GraphMorphism, classify, flag_map, morphism
+from .morphism import GraphMorphism, flag_map, morphism
 from .boundary import (
     POS,
     BoundaryEmbedding,
@@ -36,12 +36,13 @@ from .boundary import (
     PartitioningSpan,
     SpanInvariantViolated,
     _enumerate,
+    _leg_errors,
+    _match_errors,
     _solve,
     check_boundary_embedding,
     check_span,
     enumerate_re_pairings,
     red_unmatched_nodes,
-    validate_boundary_embedding,
     validate_boundary_graph,
 )
 from .rotation import (
@@ -354,15 +355,10 @@ class RewriteRule:
 
 
 def validate_rule(rule: RewriteRule):
-    errors = validate_boundary_graph(rule.b)
-    for name, leg in (("l", rule.l), ("r", rule.r)):
-        if leg.v(rule.b.boundary) is None:
-            errors.append(("LegUndefinedOnBoundary", name))
-        if leg.v(rule.b.dual_boundary) is not None:
-            errors.append(("LegDefinedOnDualBoundary", name))
-        if not classify(leg).is_embedding:
-            errors.append(("LegNotEmbedding", name))
-    return errors
+    b = rule.b
+    return (validate_boundary_graph(b)
+            + _leg_errors("l", rule.l, b, rule.left, b.boundary)
+            + _leg_errors("r", rule.r, b, rule.right, b.boundary))
 
 
 @dataclass(frozen=True)
@@ -386,7 +382,7 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
     # host before right: the embedding checks read the first three
     rots = _roles(rotations, ("boundary", "left", "host", "right"))
     be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
-    errors = validate_rule(rule) + validate_boundary_embedding(be)
+    errors = validate_rule(rule) + _match_errors(be)
     if errors:
         raise NotABoundaryEmbedding(errors)
     solution = _pick(be, solution_index)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .graph import (
     SRC,
@@ -41,6 +41,7 @@ from .boundary import (
     POS,
     BoundaryEmbedding,
     BoundaryGraph,
+    PairingGraph,
     PartitioningSpan,
     arc_classes,
     enumerate_re_pairings,
@@ -469,6 +470,37 @@ def _holds_self_loop_creation(span: PartitioningSpan) -> bool:
     return True
 
 
+def pairing_components(p: PairingGraph) -> List[Tuple[str, ...]]:
+    """The connected components of a pairing graph, each a sorted node
+    tuple, by a search over its blue and red pairs."""
+    near: Dict[str, set] = {n: set() for n in p.nodes}
+    for a, b in itertools.chain(p.blue, p.red):
+        near[a].add(b)
+        near[b].add(a)
+    comps, seen = [], set()
+    for start in p.nodes:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            new = near[frontier.pop()] - comp
+            comp |= new
+            frontier.extend(new)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
+
+
+def is_cycle_component(p: PairingGraph, comp: Tuple[str, ...]) -> bool:
+    """A component is a cycle when every node in it has degree 2."""
+    deg = dict.fromkeys(comp, 0)
+    for pair in itertools.chain(p.blue, p.red):
+        for n in pair:
+            if n in deg:
+                deg[n] += 1
+    return bool(comp) and all(d == 2 for d in deg.values())
+
+
 def _holds_pairing_paths_or_cycles(span: PartitioningSpan) -> bool:
     p = pairing_graph(span)
     blue_deg = {n: 0 for n in p.nodes}
@@ -490,7 +522,7 @@ def _holds_pairing_paths_or_cycles(span: PartitioningSpan) -> bool:
 def _holds_path_in_b(span: PartitioningSpan) -> bool:
     p = pairing_graph(span)
     po = pushout(span)
-    comps = {frozenset(c) for c in p.components()}
+    comps = {frozenset(c) for c in pairing_components(p)}
     for members in po.arc_classes.values():
         if members and frozenset(members) not in comps:
             return False
@@ -505,7 +537,7 @@ def _holds_edges_and_circles(span: PartitioningSpan) -> bool:
         if not members:
             continue
         comp = tuple(sorted(members))
-        if po.graph.is_circle(arc) != p.is_cycle_component(comp):
+        if po.graph.is_circle(arc) != is_cycle_component(p, comp):
             return False
     return True
 
@@ -553,7 +585,7 @@ def _holds_re_pairing_existence(be: BoundaryEmbedding) -> bool:
         return False
     classes = {frozenset(m) for m in arc_classes(be).values()}
     for sol in solutions:
-        comps = {frozenset(c) for c in sol.components() if c}
+        comps = {frozenset(c) for c in pairing_components(sol)}
         if comps != {c for c in classes if c}:
             return False
     return True
@@ -668,12 +700,8 @@ def _describe_pair(inst) -> str:
     return _describe_morphism(f) + _describe_morphism(g)
 
 
-def _describe_span(span: PartitioningSpan) -> str:
-    return serialize.print_document(serialize.span_doc(span))
-
-
-def _describe_be(be: BoundaryEmbedding) -> str:
-    return serialize.print_document(serialize.boundary_embedding_doc(be))
+def _describe_span_shaped(obj) -> str:
+    return serialize.print_document(serialize.span_shaped_doc(obj))
 
 
 def _describe_rot(inst) -> str:
@@ -705,24 +733,24 @@ LAWS: Dict[str, Law] = {
         Law("AlmostVertexInjective", gen_morphisms, random_morphism,
             _holds_almost_vertex_injective, _describe_morphism),
         Law("SelfLoopCreation", gen_spans, random_span,
-            _holds_self_loop_creation, _describe_span),
+            _holds_self_loop_creation, _describe_span_shaped),
         Law("PairingPathsOrCycles", gen_spans, random_span,
-            _holds_pairing_paths_or_cycles, _describe_span),
+            _holds_pairing_paths_or_cycles, _describe_span_shaped),
         Law("PathInB", gen_spans, random_span,
-            _holds_path_in_b, _describe_span),
+            _holds_path_in_b, _describe_span_shaped),
         Law("EdgesAndCircles", gen_spans, random_span,
-            _holds_edges_and_circles, _describe_span),
+            _holds_edges_and_circles, _describe_span_shaped),
         Law("PushoutLegsAreEmbeddings", gen_spans, random_span,
-            _holds_pushout_legs, _describe_span),
+            _holds_pushout_legs, _describe_span_shaped),
         Law("ComplementRoundTrip", gen_boundary_embeddings,
             random_boundary_embedding, _holds_complement_round_trip,
-            _describe_be),
+            _describe_span_shaped),
         Law("ComplementUniqueness", gen_boundary_embeddings,
             random_boundary_embedding, _holds_complement_uniqueness,
-            _describe_be),
+            _describe_span_shaped),
         Law("RePairingExistence", gen_boundary_embeddings,
             random_boundary_embedding, _holds_re_pairing_existence,
-            _describe_be),
+            _describe_span_shaped),
         Law("RotPreservationImpliesFlagSurj", gen_rot_instances,
             random_rot_instance, _holds_rot_implies_flag_surj,
             _describe_rot),
@@ -750,7 +778,7 @@ def check_lemma(name: str, budget: GenBudget = DEFAULT_BUDGET,
     """Run one law exhaustively over the budget, then over seeded-random
     instances; stops at the first counterexample."""
     if name not in LAWS:
-        raise UnknownLaw(name)
+        raise UnknownLaw(f"unknown law {name!r}")
     law = LAWS[name]
     count = 0
     if exhaustive:

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .graph import SRC, TGT, Graph, degree, flags_at, is_connected
 from .morphism import GraphMorphism, classify, morphism
-from .boundary import BoundaryEmbedding, validate_boundary_embedding
+from .boundary import BoundaryEmbedding, _match_errors
 from .dpo import Rotations, RewriteRule, _check_rotations, _roles, validate_rule
 from .rotation import check_rot_morphism
 
@@ -41,21 +41,11 @@ def check_match(rule: RewriteRule, host: Graph,
                 m: GraphMorphism) -> List[Tuple[str, str]]:
     """Validate a candidate match condition by condition; the list of
     failures is empty when `m` is a match."""
-    failures = list(validate_rule(rule))
     boundary_image = rule.l.v(rule.b.boundary)
-    cls = classify(m)
-    if not cls.is_embedding:
-        failures.extend(cls.violations or [("MatchNotEmbedding", cls.kind)])
-    if boundary_image is not None:
-        if m.v(boundary_image) is not None:
-            failures.append(("MatchDefinedOnBoundaryImage", boundary_image))
-        for v in sorted(rule.left.vertices):
-            if v != boundary_image and m.v(v) is None:
-                failures.append(("MatchUndefinedOnInterior", v))
     be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
-    failures.extend(e for e in validate_boundary_embedding(be)
-                    if e not in failures)
-    return failures
+    return validate_rule(rule) + _match_errors(be) + [
+        ("MatchUndefinedOnInterior", v) for v in sorted(rule.left.vertices)
+        if v != boundary_image and m.v(v) is None]
 
 
 def _flag_bijections(l_flags, h_flags):
@@ -87,8 +77,7 @@ def find_matches(rule: RewriteRule, host: Graph,
         raise LNotConnected("rule left-hand side must be connected")
     # The rule's half of the boundary-embedding conditions, once per
     # search: an invalid rule has no matches.
-    rule_ok = (not validate_rule(rule) and rule.l.dom == rule.b.graph
-               and rule.l.cod == left)
+    rule_ok = not validate_rule(rule)
     boundary_image = rule.l.v(rule.b.boundary)
     interior = sorted(v for v in left.vertices if v != boundary_image)
     if not interior and not left.edges and not left.circles:

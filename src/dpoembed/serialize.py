@@ -9,7 +9,7 @@ re-validated with the module validators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
 from .graph import SRC, TGT, Flag, Graph, graph, validate_graph
@@ -60,15 +60,14 @@ class FieldTypeError(DocumentError):
 class Document:
     kind: str
     body: Mapping[str, Any]
-    format_version: str = FORMAT_VERSION
 
 
-def _check_fields(obj: Mapping, allowed, required, where: str,
+def _check_fields(obj: Mapping, required, optional, where: str,
                   lenient: bool) -> None:
     if not isinstance(obj, dict):
         raise ValidationFailed(f"{where}: expected an object")
     for key in obj:
-        if key not in allowed and not lenient:
+        if key not in required and key not in optional and not lenient:
             raise UnknownField(f"{where}: unknown field {key!r}")
     for key in sorted(required):
         if key not in obj:
@@ -129,16 +128,16 @@ def _string_map(body: Mapping, key: str, where: str) -> Dict[str, str]:
 def graph_from_body(body: Mapping, where: str = "graph",
                     lenient: bool = False):
     """Returns (Graph, Optional[RotationSystem])."""
-    _check_fields(body, {"vertices", "edges", "circles", "rotations"},
-                  {"vertices", "edges"}, where, lenient)
+    _check_fields(body, {"vertices", "edges"}, {"circles", "rotations"},
+                  where, lenient)
     vertices = _string_list(body, "vertices", where)
     circles = _string_list(body, "circles", where)
     if not isinstance(body["edges"], dict):
         raise FieldTypeError(f"{where}.edges: expected an object")
     edges = {}
     for e, spec in body["edges"].items():
-        _check_fields(spec, {"source", "target"}, {"source", "target"},
-                      f"{where}.edges.{e}", lenient)
+        _check_fields(spec, {"source", "target"}, (), f"{where}.edges.{e}",
+                      lenient)
         edges[e] = (_string(spec["source"], f"{where}.edges.{e}.source"),
                     _string(spec["target"], f"{where}.edges.{e}.target"))
     g = graph(vertices, edges, circles)
@@ -169,8 +168,7 @@ def map_to_body(f: GraphMorphism) -> Dict[str, Any]:
 
 def map_from_body(body: Mapping, dom: Graph, cod: Graph, where: str,
                   lenient: bool = False) -> GraphMorphism:
-    _check_fields(body, {"vertices", "arcs"}, {"vertices", "arcs"},
-                  where, lenient)
+    _check_fields(body, {"vertices", "arcs"}, (), where, lenient)
     return morphism(dom, cod, _string_map(body, "vertices", where),
                     _string_map(body, "arcs", where))
 
@@ -186,8 +184,8 @@ def boundary_to_body(b: BoundaryGraph,
 def boundary_from_body(body: Mapping, where: str = "boundary",
                        lenient: bool = False):
     extra = {"boundary_vertex", "dual_boundary_vertex"}
-    _check_fields(body, {"vertices", "edges", "circles", "rotations"} | extra,
-                  {"vertices", "edges"} | extra, where, lenient)
+    _check_fields(body, {"vertices", "edges"} | extra,
+                  {"circles", "rotations"}, where, lenient)
     inner = {k: v for k, v in body.items() if k not in extra}
     g, rs = graph_from_body(inner, where, lenient)
     b = BoundaryGraph(
@@ -225,28 +223,21 @@ def morphism_doc(f: GraphMorphism,
     })
 
 
-def span_doc(span: PartitioningSpan,
-             rots: Optional[Mapping[str, RotationSystem]] = None) -> Document:
+def span_shaped_doc(obj, rots: Optional[Mapping[str, RotationSystem]] = None
+                    ) -> Document:
+    """The document of a rule, span or boundary embedding; `rots` is
+    keyed by role, as `load_document` returns it."""
+    kind = next(k for k, entry in _SPAN_SHAPED.items()
+                if isinstance(obj, entry[3]))
+    other, other_map = _SPAN_SHAPED[kind][:2]
+    b, left, g, l, f = (getattr(obj, fd.name) for fd in fields(obj))
     rots = rots or {}
-    return Document("span", {
-        "boundary": boundary_to_body(span.b, rots.get("boundary")),
-        "left": graph_to_body(span.left, rots.get("left")),
-        "context": graph_to_body(span.context, rots.get("context")),
-        "left_map": map_to_body(span.l),
-        "context_map": map_to_body(span.c),
-    })
-
-
-def boundary_embedding_doc(be: BoundaryEmbedding,
-                           rots: Optional[Mapping[str, RotationSystem]] = None
-                           ) -> Document:
-    rots = rots or {}
-    return Document("boundary_embedding", {
-        "boundary": boundary_to_body(be.b, rots.get("boundary")),
-        "left": graph_to_body(be.left, rots.get("left")),
-        "host": graph_to_body(be.host, rots.get("host")),
-        "left_map": map_to_body(be.l),
-        "match_map": map_to_body(be.m),
+    return Document(kind, {
+        "boundary": boundary_to_body(b, rots.get("boundary")),
+        "left": graph_to_body(left, rots.get("left")),
+        other: graph_to_body(g, rots.get(other)),
+        "left_map": map_to_body(l),
+        other_map: map_to_body(f),
     })
 
 
@@ -280,32 +271,38 @@ def law_report_doc(law: str, instances: int,
     })
 
 
+# kind -> (second graph, its map, whether that map starts at the left
+# graph rather than at B, constructor, validator).  Each kind is B -l-> L
+# and a second graph, with fields "boundary", "left", "left_map" and the
+# two named here.
+_SPAN_SHAPED = {
+    "rule": ("right", "right_map", False, RewriteRule, validate_rule),
+    "span": ("context", "context_map", False, PartitioningSpan,
+             validate_span),
+    "boundary_embedding": ("host", "match_map", True, BoundaryEmbedding,
+                           validate_boundary_embedding),
+}
+
+# kind -> (required fields, optional fields); trace bodies are free-form
 _BODY_FIELDS = {
-    "graph": ({"vertices", "edges", "circles"}, {"vertices", "edges"}),
-    "rotation_graph": ({"vertices", "edges", "circles", "rotations"},
-                       {"vertices", "edges", "rotations"}),
-    "morphism": ({"dom", "cod", "map"}, {"dom", "cod", "map"}),
-    "rule": ({"boundary", "left", "right", "left_map", "right_map"},
-             {"boundary", "left", "right", "left_map", "right_map"}),
-    "span": ({"boundary", "left", "context", "left_map", "context_map"},
-             {"boundary", "left", "context", "left_map", "context_map"}),
-    "boundary_embedding": (
-        {"boundary", "left", "host", "left_map", "match_map"},
-        {"boundary", "left", "host", "left_map", "match_map"}),
-    "match": ({"rule", "host", "matches"}, {"rule", "host"}),
-    "trace": (None, set()),   # trace bodies are free-form but versioned
-    "classification": ({"kind", "violations"}, {"kind", "violations"}),
+    "graph": ({"vertices", "edges"}, {"circles"}),
+    "rotation_graph": ({"vertices", "edges", "rotations"}, {"circles"}),
+    "morphism": ({"dom", "cod", "map"}, ()),
+    **{kind: ({"boundary", "left", other, "left_map", other_map}, ())
+       for kind, (other, other_map, *_) in _SPAN_SHAPED.items()},
+    "match": ({"rule", "host"}, {"matches"}),
+    "trace": None,
+    "classification": ({"kind", "violations"}, ()),
     "surface_report": (
         {"components", "max_genus", "is_planar", "embedding_underdetermined"},
-        {"components", "max_genus", "is_planar", "embedding_underdetermined"}),
-    "law_report": ({"law", "instances", "counterexample"},
-                   {"law", "instances", "counterexample"}),
+        ()),
+    "law_report": ({"law", "instances", "counterexample"}, ()),
 }
 
 
 def print_document(doc: Document) -> str:
     payload = {
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": doc.kind,
         "body": doc.body,
     }
@@ -327,23 +324,14 @@ def read_document(text: str, lenient: bool = False):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    _check_fields(payload, {"format_version", "kind", "body"},
-                  {"format_version", "kind", "body"}, "document", lenient)
+    _check_fields(payload, {"format_version", "kind", "body"}, (),
+                  "document", lenient)
     if payload["format_version"] != FORMAT_VERSION:
-        raise VersionMismatch(payload["format_version"])
+        raise VersionMismatch(
+            f"unsupported format_version {payload['format_version']!r} "
+            f"(expected {FORMAT_VERSION!r})")
     doc = Document(payload["kind"], payload["body"])
     return doc, load_document(doc, lenient=lenient)
-
-
-# kind -> (second graph, its map, whether that map starts at the left
-# graph rather than at B, constructor, validator)
-_SPAN_SHAPED = {
-    "rule": ("right", "right_map", False, RewriteRule, validate_rule),
-    "span": ("context", "context_map", False, PartitioningSpan,
-             validate_span),
-    "boundary_embedding": ("host", "match_map", True, BoundaryEmbedding,
-                           validate_boundary_embedding),
-}
 
 
 def load_document(doc: Document, lenient: bool = False):
@@ -359,9 +347,8 @@ def load_document(doc: Document, lenient: bool = False):
     body = doc.body
     if not isinstance(doc.kind, str) or doc.kind not in _BODY_FIELDS:
         raise ValidationFailed(f"unknown document kind {doc.kind!r}")
-    allowed, required = _BODY_FIELDS[doc.kind]
-    if allowed is not None:
-        _check_fields(body, allowed, required, doc.kind, lenient)
+    if _BODY_FIELDS[doc.kind] is not None:
+        _check_fields(body, *_BODY_FIELDS[doc.kind], doc.kind, lenient)
     if doc.kind in ("graph", "rotation_graph"):
         g, rs = graph_from_body(body, doc.kind, lenient)
         if doc.kind == "rotation_graph" and rs is None:

@@ -54,6 +54,24 @@ def loop_rule(two_edge_boundary, loop_left):
 
 
 @pytest.fixture
+def misdirected_rules(loop_rule):
+    """The identity-loop rule with r landing outside its right-hand side,
+    and with l starting outside its boundary graph; each with the one
+    failure `validate_rule` reports for it."""
+    rule = loop_rule
+    elsewhere = graph(["w"], {"c": ("w", "w")})
+    other_b = graph(["bnd", "dbd"],
+                    {"f1": ("bnd", "dbd"), "f2": ("dbd", "bnd")})
+    l = morphism(other_b, rule.left, {"bnd": "v"}, {"f1": "a", "f2": "a"})
+    return [
+        (RewriteRule(rule.b, rule.left, elsewhere, rule.l, rule.r),
+         ("LegCodomainMismatch", "r")),
+        (RewriteRule(rule.b, rule.left, rule.right, l, rule.r),
+         ("LegDomainMismatch", "l")),
+    ]
+
+
+@pytest.fixture
 def mixed_host():
     return graph(["x", "y"],
                  {"f": ("x", "y"), "g": ("y", "x"), "h": ("x", "x")},

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dpoembed import (
     BoundaryEmbedding,
     BoundaryGraph,
+    PairingGraph,
     PartitioningSpan,
     arc_classes,
     blue_half,
@@ -29,7 +30,12 @@ from dpoembed.boundary import (
     CombinatorialLimitExceeded,
     red_unmatched_nodes,
 )
-from dpoembed.lawcheck import GenBudget, random_boundary_embedding
+from dpoembed.lawcheck import (
+    GenBudget,
+    is_cycle_component,
+    pairing_components,
+    random_boundary_embedding,
+)
 
 from conftest import bouquet_embedding
 
@@ -65,9 +71,20 @@ def test_pairing_graph_two_cycle(two_edge_boundary, loop_left):
     p = pairing_graph(PartitioningSpan(two_edge_boundary, left, ctx, l, c))
     assert p.blue == {("e1", "e2")}
     assert p.red == {("e2", "e1")}
-    comps = p.components()
+    comps = pairing_components(p)
     assert comps == [("e1", "e2")]
-    assert p.is_cycle_component(comps[0])
+    assert is_cycle_component(p, comps[0])
+
+
+def test_pairing_graph_path_and_lone_node():
+    # e1 -blue- e2 -red- e3 is a path; e4 touches no pair
+    nodes = ("e1", "e2", "e3", "e4")
+    p = PairingGraph(nodes, {"e1": POS, "e2": NEG, "e3": POS, "e4": NEG},
+                     frozenset({("e1", "e2")}), frozenset({("e2", "e3")}))
+    comps = pairing_components(p)
+    assert comps == [("e1", "e2", "e3"), ("e4",)]
+    assert not is_cycle_component(p, comps[0])
+    assert not is_cycle_component(p, comps[1])
 
 
 def test_blue_half_and_classes(circle_host_embedding):

@@ -6,9 +6,9 @@ from dpoembed import graph
 from dpoembed.cli import main
 from dpoembed.matcher import MAX_MATCHES
 from dpoembed.serialize import (
-    boundary_embedding_doc,
     graph_to_body,
     print_document,
+    span_shaped_doc,
 )
 
 from conftest import FIXTURES, bouquet_embedding
@@ -234,7 +234,7 @@ def test_repairings_counts(capsys):
 def test_repairings_over_the_cap_is_refused(capsys, tmp_path):
     # ten loops on one circle have 9! = 362,880 solutions
     doc = tmp_path / "ten_loops.json"
-    doc.write_text(print_document(boundary_embedding_doc(
+    doc.write_text(print_document(span_shaped_doc(
         bouquet_embedding((10,)))))
     code, out, err = run(capsys, "repairings", str(doc))
     assert code == 1
@@ -369,6 +369,13 @@ def test_lawcheck_unknown_law(capsys):
     assert "Nope" in err
 
 
+def test_lawcheck_unknown_law_is_named(capsys):
+    code, out, err = run(capsys, "lawcheck", "--law", "NoSuch")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown law 'NoSuch'\n"
+
+
 def test_lawcheck_bad_budget(capsys):
     code, _, err = run(capsys, "lawcheck", "--budget", "zap")
     assert code == 1
@@ -392,6 +399,29 @@ def test_export_dot_unsupported_kind(capsys):
                        fixture("morphism_loop_to_circle.json"))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("morphism_loop_to_circle.json", "morphism"),
+    ("rule_identity_loop.json", "rule"),
+])
+def test_export_dot_names_the_unsupported_kind(capsys, name, kind):
+    code, out, err = run(capsys, "export-dot", fixture(name))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot render a {kind} document as DOT\n"
+
+
+def test_unsupported_format_version_is_named(capsys, tmp_path):
+    payload = json.loads((FIXTURES / "graph_circle.json").read_text())
+    payload["format_version"] = "2"
+    doc = tmp_path / "v2.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unsupported format_version '2' "
+                   "(expected '1')\n")
 
 
 def test_usage_error_without_command():

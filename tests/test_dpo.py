@@ -29,6 +29,8 @@ from dpoembed.dpo import (
     SolutionIndexOutOfRange,
 )
 
+from conftest import count_calls
+
 
 def test_pushout_of_edgeless_boundary():
     # both boundary images vanish; the rest is a disjoint union
@@ -124,6 +126,23 @@ def test_pick_solution_is_canonical_or_indexed(circle_host_embedding):
 
 def test_validate_rule(loop_rule):
     assert validate_rule(loop_rule) == []
+
+
+def test_validate_rule_checks_leg_domains_and_codomains(misdirected_rules):
+    for rule, failure in misdirected_rules:
+        assert validate_rule(rule) == [failure]
+
+
+def test_rewrite_refuses_a_misdirected_rule_before_the_complement(
+        monkeypatch, loop_rule, mixed_host, misdirected_rules):
+    from dpoembed import dpo, find_matches
+    m = find_matches(loop_rule, mixed_host)[0].m
+    built = count_calls(monkeypatch, dpo._complement)
+    for rule, failure in misdirected_rules:
+        with pytest.raises(NotABoundaryEmbedding) as err:
+            rewrite(rule, mixed_host, m)
+        assert failure in err.value.args[0]
+    assert built == [0]
 
 
 def test_iso_check_positive_and_negative():

@@ -72,6 +72,12 @@ def test_disconnected_left_rejected(two_edge_boundary, mixed_host):
         find_matches(rule, mixed_host)
 
 
+def test_misdirected_rule_has_no_matches(misdirected_rules, mixed_host):
+    for rule, _ in misdirected_rules:
+        assert find_matches(rule, mixed_host) == []
+        assert brute_force_matches(rule, mixed_host) == []
+
+
 def _circles(n):
     return graph([], {}, [f"o{i:05d}" for i in range(n)])
 

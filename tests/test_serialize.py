@@ -14,6 +14,7 @@ from dpoembed.serialize import (
     morphism_doc,
     parse_document,
     print_document,
+    span_shaped_doc,
 )
 
 from conftest import FIXTURES
@@ -38,6 +39,20 @@ def test_parse_is_idempotent(path):
     once = print_document(parse_document(text))
     twice = print_document(parse_document(once))
     assert once == twice
+
+
+SPAN_SHAPED = [p for p in CORPUS if json.loads(p.read_text())["kind"]
+               in ("rule", "span", "boundary_embedding")]
+
+
+@pytest.mark.parametrize("path", SPAN_SHAPED, ids=lambda p: p.stem)
+def test_span_shaped_writer_round_trip(path):
+    text = path.read_text()
+    obj, rots = load_document(parse_document(text))
+    written = print_document(span_shaped_doc(obj, rots))
+    assert written == text
+    assert print_document(parse_document(written)) == written
+    assert load_document(parse_document(written)) == (obj, rots)
 
 
 def test_graph_doc_round_trip():

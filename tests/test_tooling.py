@@ -42,6 +42,52 @@ def test_every_imported_name_is_used():
     assert not found
 
 
+def _definitions(tree):
+    """Top-level functions, classes and constants, and class methods;
+    dunders excluded."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _references(tree):
+    """Every name the tree reads, as a bare name, an attribute or an
+    imported name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_definition_is_referenced():
+    # a definition nothing reads is dead code: src, tests and the bench
+    # are all the callers there are
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    referenced = set()
+    for path in files:
+        referenced |= _references(ast.parse(path.read_text()))
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _definitions(ast.parse(path.read_text()))
+             if name not in referenced]
+    assert not found
+
+
 def test_lawcheck_uses_no_private_name_of_the_library():
     # the law suite and its oracles check the constructive code, so they
     # may call only its public API
