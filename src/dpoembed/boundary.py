@@ -118,7 +118,9 @@ def check_span(span: PartitioningSpan) -> None:
 @dataclass(frozen=True)
 class BoundaryEmbedding:
     """B -l-> L -m-> G with L connected, m an embedding, and the match
-    undefined on the image of the boundary vertex."""
+    undefined on the image of the boundary vertex but defined on every
+    other vertex of L: the complement removes exactly m's image, so a
+    vertex m forgets would be left behind in it."""
 
     b: BoundaryGraph
     left: Graph
@@ -152,6 +154,9 @@ def _match_errors(be: BoundaryEmbedding):
         errors.append(("LegDomainMismatch", "m"))
     if be.m.cod != be.host:
         errors.append(("LegCodomainMismatch", "m"))
+    errors.extend(("MatchUndefinedOnInterior", v)
+                  for v in sorted(be.left.vertices)
+                  if v != lb and be.m.v(v) is None)
     return errors
 
 

@@ -154,13 +154,14 @@ def cmd_match(args) -> int:
 def cmd_rewrite(args) -> int:
     _, (rule, host, given, rots) = _parse(args.file, args.lenient,
                                           ("match",))
-    candidates = given or find_matches(rule, host)
+    rots = rots if args.rotations else None
+    # the list `match` prints with the same --rotations flag
+    candidates = given or find_matches(rule, host, rots)
     if not 0 <= args.match < len(candidates):
         raise CliFailure(
             f"match index {args.match} not in [0, {len(candidates)})")
     m = candidates[args.match].m
-    _, trace = rewrite(rule, host, m, args.solution,
-                       rots if args.rotations else None)
+    _, trace = rewrite(rule, host, m, args.solution, rots)
     po = trace.result_pushout
     _emit(Document("trace", {
         "operation": "rewrite",

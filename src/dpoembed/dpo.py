@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import (
+    EMPTY_GRAPH,
     Flag,
     Graph,
     _union_find,
+    connected_components,
     graph,
     induced_subgraph,
     validate_graph,
@@ -49,6 +51,7 @@ from .rotation import (
     RotationError,
     RotationSystem,
     SurfaceReport,
+    _surface,
     check_rot_morphism,
     genus_report,
     rotation_system,
@@ -234,9 +237,10 @@ class ComplementResult:
         return PartitioningSpan(b, left, self.context, l, self.c)
 
 
-def _fresh(base: str, used) -> str:
+def _fresh(base: str, *used) -> str:
+    """`base` with "+" appended until it is in none of the `used`."""
     name = base
-    while name in used:
+    while any(name in u for u in used):
         name += "+"
     return name
 
@@ -274,14 +278,17 @@ def pushout_complement(be: BoundaryEmbedding,
 
 
 def _complement(be: BoundaryEmbedding, solution: PairingGraph,
-                rots=None) -> ComplementResult:
+                rots=None, rest: Graph = EMPTY_GRAPH) -> ComplementResult:
     """`pushout_complement` of a checked embedding, a solution that
     extends its blue half and checked rotations, if any, on (boundary,
-    left, host); the context rotation is not validated."""
+    left, host); the context rotation is not validated.  When be.host
+    is the part of a larger host that m touches, `rest` is the other
+    part: the fresh ids avoid its ids too, so they are the ones the
+    whole host would get."""
     host, b = be.host, be.b
     matched_vertices = set(be.m.vmap.values())
     survivors = set(host.vertices) - matched_vertices
-    dual = _fresh(b.dual_boundary, survivors)
+    dual = _fresh(b.dual_boundary, survivors, rest.vertices)
 
     kept = induced_subgraph(host, survivors)
     image_arcs = set(be.m.amap.values())
@@ -295,7 +302,7 @@ def _complement(be: BoundaryEmbedding, solution: PairingGraph,
     used = set(edges) | circles
 
     for neg, pos in sorted(solution.red):
-        loop = _fresh(min(neg, pos), used)
+        loop = _fresh(min(neg, pos), used, rest.edges, rest.circles)
         used.add(loop)
         edges[loop] = (dual, dual)
         c_amap[neg] = loop
@@ -303,7 +310,7 @@ def _complement(be: BoundaryEmbedding, solution: PairingGraph,
         g_amap[loop] = be.image_arc(neg)
 
     for e in red_unmatched_nodes(solution):
-        new = _fresh(e, used)
+        new = _fresh(e, used, rest.edges, rest.circles)
         used.add(new)
         a = be.image_arc(e)
         if solution.polarity[e] == POS:
@@ -334,12 +341,52 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
 
     The embedding is checked once by the enumeration, then the rotation
     data once; each solution then runs through the unchecked complement
-    core, and `genus_report` validates its constructed rotation once."""
+    core, and `genus_report` validates its constructed rotation once.
+
+    Solutions differ only on the host components that m touches, and
+    Euler's formula holds per component.  So the first solution's
+    complement is reported whole, and every other one only on the
+    touched components, with the untouched components' reports carried
+    over: O(host) once, then O(touched part + boundary edges) per
+    solution."""
     rots = _roles(rotations or {}, ("boundary", "left", "host"))
     solutions = enumerate_re_pairings(be)
     _check_embedding_rotations(be, rots)
-    return [(s, genus_report(_complement(be, s, rots).rotation))
-            for s in solutions]
+    first = genus_report(_complement(be, solutions[0], rots).rotation)
+    touched, rest = _split_host(be)
+    local_be = BoundaryEmbedding(
+        be.b, be.left, touched, be.l,
+        morphism(be.left, touched, be.m.vmap, be.m.amap))
+    local_rots = (rots[0], rots[1], rotation_system(
+        touched, {v: rots[2].rotation(v) for v in touched.vertices}))
+    kept = tuple(c for c in first.components
+                 if (c.vertices[0] in rest.vertices if c.vertices
+                     else c.arcs[0] in rest.circles))
+    out = [(solutions[0], first)]
+    for s in solutions[1:]:
+        local = genus_report(
+            _complement(local_be, s, local_rots, rest).rotation)
+        # connected_components order: by least vertex, then circles
+        out.append((s, _surface(sorted(
+            local.components + kept,
+            key=lambda c: (0, c.vertices[0]) if c.vertices
+            else (1, c.arcs[0])))))
+    return out
+
+
+def _split_host(be: BoundaryEmbedding) -> Tuple[Graph, Graph]:
+    """The host's components that meet m's vertex or arc image, and the
+    others, as two graphs."""
+    vimg, aimg = set(be.m.vmap.values()), set(be.m.amap.values())
+    parts = ((set(), set()), (set(), set()))  # touched, rest
+    for vs, arcs in connected_components(be.host):
+        vset, aset = parts[0 if vs & vimg or arcs & aimg else 1]
+        vset |= vs
+        aset |= arcs
+    host = be.host
+    return tuple(graph(vs, {a: host.edges[a] for a in arcs if host.is_edge(a)},
+                       (a for a in arcs if host.is_circle(a)))
+                 for vs, arcs in parts)
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,8 @@ def check_match(rule: RewriteRule, host: Graph,
                 m: GraphMorphism) -> List[Tuple[str, str]]:
     """Validate a candidate match condition by condition; the list of
     failures is empty when `m` is a match."""
-    boundary_image = rule.l.v(rule.b.boundary)
     be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
-    return validate_rule(rule) + _match_errors(be) + [
-        ("MatchUndefinedOnInterior", v) for v in sorted(rule.left.vertices)
-        if v != boundary_image and m.v(v) is None]
+    return validate_rule(rule) + _match_errors(be)
 
 
 def _flag_bijections(l_flags, h_flags):

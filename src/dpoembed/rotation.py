@@ -168,8 +168,13 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
     faces = trace_faces(rs)
     g = rs.graph
     comps = connected_components(g)
+    # one pass buckets every face walk by the component of its first edge
+    comp_of = {a: i for i, (_, arcs) in enumerate(comps) for a in arcs}
+    walks = [0] * len(comps)
+    for walk in faces:
+        walks[comp_of[walk[0][0]]] += 1
     reports = []
-    for vs, arcs in comps:
+    for i, (vs, arcs) in enumerate(comps):
         edge_count = sum(1 for a in arcs if g.is_edge(a))
         circle_count = len(arcs) - edge_count
         if circle_count:
@@ -177,8 +182,7 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
         elif edge_count == 0:
             face_count = 1
         else:
-            face_count = sum(
-                1 for walk in faces if walk[0][0] in arcs)
+            face_count = walks[i]
         chi = len(vs) - edge_count + face_count
         if (2 - chi) % 2 != 0:
             raise RotationError(f"OddEulerDefect: chi={chi}")
@@ -195,10 +199,14 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
             euler_characteristic=chi,
             genus=genus,
         ))
-    max_genus = max((r.genus for r in reports), default=0)
+    return _surface(reports)
+
+
+def _surface(reports: Sequence[ComponentReport]) -> SurfaceReport:
+    """The surface report of per-component reports, kept in order."""
     return SurfaceReport(
         components=tuple(reports),
-        max_genus=max_genus,
+        max_genus=max((r.genus for r in reports), default=0),
         is_planar=all(r.genus == 0 for r in reports),
         embedding_underdetermined=len(reports) > 1,
     )

@@ -306,7 +306,72 @@ def print_document(doc: Document) -> str:
         "kind": doc.kind,
         "body": doc.body,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    try:
+        _write(payload, "\n", out)
+    except _NotPlain:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _NotPlain(Exception):
+    """A value `_write` leaves to `json.dumps` (a float, a non-str key)."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append the text `json.dumps(value, sort_keys=True, indent=2)`
+    gives for str, int, bool, None, lists, tuples and str-keyed dicts;
+    `nl` is a newline plus the current indent.  A container of strings
+    is one join: the stdlib encoder is pure Python whenever it indents."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(isinstance(x, str) for x in value):
+            out.append("[" + inner + ("," + inner).join(map(_quote, value))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in value):
+            raise _NotPlain
+        inner = nl + "  "
+        keys = sorted(value)
+        if all(isinstance(value[k], str) for k in keys):
+            out.append("{" + inner + ("," + inner).join(
+                _quote(k) + ": " + _quote(value[k]) for k in keys) + nl + "}")
+            return
+        sep = "{" + inner
+        for k in keys:
+            out.append(sep + _quote(k) + ": ")
+            _write(value[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise _NotPlain
 
 
 def parse_document(text: str, lenient: bool = False) -> Document:

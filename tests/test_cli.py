@@ -428,3 +428,67 @@ def test_usage_error_without_command():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_every_output_document_is_json_dumps_text(capsys, path):
+    # the document writer gives json.dumps(sort_keys=True, indent=2) bytes
+    for argv in (["validate"], ["complement"], ["complement", "--rotations"],
+                 ["pushout", "--rotations"], ["repairings"],
+                 ["repairings", "--classify-genus"], ["match"], ["rewrite"],
+                 ["genus"], ["classify-morphism"]):
+        code, out, _ = run(capsys, *argv, str(path))
+        if code == 0:
+            assert out == json.dumps(json.loads(out), sort_keys=True,
+                                     indent=2) + "\n"
+
+
+def _two_loop_match_doc():
+    """A rule whose interior vertex u carries two loops, on a host of the
+    same shape.  Of the two plain matches, only the second in sorted
+    order (x -> g, y -> f) preserves the rotations."""
+    def edges(table):
+        return {e: {"source": s, "target": t} for e, (s, t) in table.items()}
+
+    left = {"vertices": ["bv", "u"], "circles": [],
+            "edges": edges({"s": ("bv", "u"), "t": ("u", "bv"),
+                            "x": ("u", "u"), "y": ("u", "u")}),
+            "rotations": {"bv": ["s.src", "t.tgt"],
+                          "u": ["s.tgt", "x.src", "x.tgt", "t.src", "y.src",
+                                "y.tgt"]}}
+    host = {"vertices": ["p", "q"], "circles": [],
+            "edges": edges({"ps": ("p", "q"), "qt": ("q", "p"),
+                            "f": ("q", "q"), "g": ("q", "q")}),
+            "rotations": {"p": ["ps.src", "qt.tgt"],
+                          "q": ["ps.tgt", "g.src", "g.tgt", "qt.src",
+                                "f.src", "f.tgt"]}}
+    boundary = {"vertices": ["bnd", "dbd"], "circles": [],
+                "edges": edges({"e1": ("bnd", "dbd"), "e2": ("dbd", "bnd")}),
+                "boundary_vertex": "bnd", "dual_boundary_vertex": "dbd",
+                "rotations": {"bnd": ["e1.src", "e2.tgt"],
+                              "dbd": ["e1.tgt", "e2.src"]}}
+    leg = {"vertices": {"bnd": "bv"}, "arcs": {"e1": "s", "e2": "t"}}
+    rule = {"boundary": boundary, "left": left, "right": left,
+            "left_map": leg, "right_map": leg}
+    return json.dumps({"format_version": "1", "kind": "match",
+                       "body": {"rule": rule, "host": host}})
+
+
+def test_rewrite_with_rotations_indexes_the_rotation_filtered_matches(
+        capsys, tmp_path):
+    path = tmp_path / "two_loops.json"
+    path.write_text(_two_loop_match_doc())
+    _, out, _ = run(capsys, "match", str(path))
+    assert len(json.loads(out)["body"]["matches"]) == 2
+    _, out, _ = run(capsys, "match", "--rotations", str(path))
+    listed = json.loads(out)["body"]["matches"]
+    assert [m["arcs"]["x"] for m in listed] == ["g"]
+    for i, match in enumerate(listed):
+        code, out, err = run(capsys, "rewrite", "--rotations", "--match",
+                             str(i), str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["body"]["match"] == match
+    code, out, err = run(capsys, "rewrite", "--rotations", "--match", "1",
+                         str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: match index 1 not in [0, 1)\n"

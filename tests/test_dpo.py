@@ -145,6 +145,40 @@ def test_rewrite_refuses_a_misdirected_rule_before_the_complement(
     assert built == [0]
 
 
+def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
+    # L = vb -x-> u -y-> vb onto p -f-> q -g-> p with u left unmapped:
+    # the complement would keep q, so no square may be built from it
+    from dpoembed import (Flag, check_match, classify_re_pairings,
+                          rotation_system, validate_boundary_embedding)
+    from dpoembed.boundary import BoundaryEmbeddingInvariantViolated
+    b = two_edge_boundary
+    left = graph(["vb", "u"], {"x": ("vb", "u"), "y": ("u", "vb")})
+    l = morphism(b.graph, left, {"bnd": "vb"}, {"e1": "x", "e2": "y"})
+    host = graph(["p", "q"], {"f": ("p", "q"), "g": ("q", "p")})
+    m = morphism(left, host, {}, {"x": "f", "y": "g"})
+    assert classify(m).is_embedding
+    be = BoundaryEmbedding(b, left, host, l, m)
+    refusal = [("MatchUndefinedOnInterior", "u")]
+    assert validate_boundary_embedding(be) == refusal
+    assert check_match(RewriteRule(b, left, left, l, l), host, m) == refusal
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
+        pushout_complement(be)
+    rots = {"boundary": rotation_system(b.graph, {
+                "bnd": [Flag("e1", "src"), Flag("e2", "tgt")],
+                "dbd": [Flag("e1", "tgt"), Flag("e2", "src")]}),
+            "left": rotation_system(left, {
+                "vb": [Flag("x", "src"), Flag("y", "tgt")],
+                "u": [Flag("x", "tgt"), Flag("y", "src")]}),
+            "host": rotation_system(host, {
+                "p": [Flag("f", "src"), Flag("g", "tgt")],
+                "q": [Flag("f", "tgt"), Flag("g", "src")]})}
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
+        classify_re_pairings(be, rots)
+    with pytest.raises(NotABoundaryEmbedding) as err:
+        rewrite(RewriteRule(b, left, left, l, l), host, m)
+    assert err.value.args[0] == refusal
+
+
 def test_iso_check_positive_and_negative():
     g1 = graph(["a", "b", "c"],
                {"e1": ("a", "b"), "e2": ("b", "c"), "e3": ("c", "a")})

@@ -24,11 +24,16 @@ from dpoembed import (
     validate_rotation,
 )
 from dpoembed.boundary import (
+    NEG,
+    POS,
     BoundaryEmbedding,
     BoundaryEmbeddingInvariantViolated,
     BoundaryGraph,
     PartitioningSpan,
 )
+from dpoembed.graph import connected_components, flags_at
+from dpoembed.lawcheck import GenBudget, _boundary, _build_side, _decos
+from dpoembed.morphism import flag_map
 from dpoembed.rotation import FWD, REV, RotationError
 from dpoembed.serialize import read_document
 
@@ -354,3 +359,221 @@ def test_find_matches_checks_the_rotations_it_is_given():
                   {"left": rots["boundary"], "host": rots["host"]}):
         with pytest.raises(RotationError, match="^invalid rotation data"):
             find_matches(rule, host, wrong)
+
+
+def _shuffled(rng, items):
+    items = sorted(items)
+    rng.shuffle(items)
+    return items
+
+
+def _renamed(g, rs, vnames, anames):
+    """g and its rotation with vertex and arc ids replaced."""
+    h = graph((vnames[v] for v in g.vertices),
+              {anames[e]: (vnames[s], vnames[t])
+               for e, (s, t) in g.edges.items()},
+              (anames[o] for o in g.circles))
+    return h, rotation_system(h, {
+        vnames[v]: [Flag(anames[fl.edge], fl.end) for fl in rs.rotation(v)]
+        for v in g.vertices})
+
+
+# ids that `pushout_complement` picks for its fresh dual vertex, loops and
+# dangling edges, and their first "+" variants
+_CLASHING = ["dbd", "dbd+", "p0", "p1", "n0", "n1", "p0+", "n1+"]
+
+
+def _random_span(rng):
+    """A partitioning span with up to five self-loops on each side, L's
+    as many as it can have, so that several loops of L end up on one
+    host arc: a re-pairing problem with several solutions.  L is
+    connected."""
+    npos, nneg = rng.randint(1, 5), rng.randint(1, 5)
+    most = min(npos, nneg)
+    b = _boundary(npos + nneg, npos)
+    pos = [e for e in b.boundary_edges() if b.polarity(e) == POS]
+    neg = [e for e in b.boundary_edges() if b.polarity(e) == NEG]
+    sides = []
+    for prefix, at, lo in (("L", b.boundary, most), ("C", b.dual_boundary, 0)):
+        j = rng.randint(lo, most)
+        matching = tuple(zip(rng.sample(pos, j), rng.sample(neg, j)))
+        paired = {x for pn in matching for x in pn}
+        unmatched = [e for e in b.boundary_edges() if e not in paired]
+        # L gets one interior vertex, and only when an edge reaches it
+        k = int(bool(unmatched)) if prefix == "L" else rng.randint(
+            int(bool(unmatched)), 2)
+        interior = [f"{prefix}i{i}" for i in range(k)]
+        decos = ["none", "loop"][:k + 1] if prefix == "L" else _decos(
+            k, GenBudget(), 0)
+        sides.append(_build_side(
+            b, prefix, at, prefix == "L", matching,
+            {e: rng.choice(interior) for e in unmatched}, interior,
+            rng.choice(decos)))
+    (left, l), (ctx, c) = sides
+    return PartitioningSpan(b, left, ctx, l, c)
+
+
+def _random_rotated_embedding(seed):
+    """(embedding, rotations) from a random partitioning span's pushout
+    with random rotations; the host's ids are renamed onto ones the
+    fresh names collide with, and random untouched components are set
+    beside it."""
+    rng = random.Random(seed)
+    span = _random_span(rng)
+    b = span.b
+    rot_b = rotation_system(b.graph, {v: _shuffled(rng, flags_at(b.graph, v))
+                                      for v in b.graph.vertices})
+
+    def side(g, leg, at):
+        # the leg's vertex takes the boundary rotation, so the leg
+        # preserves rotations; every other vertex is random
+        inc = {v: _shuffled(rng, flags_at(g, v)) for v in g.vertices}
+        fm = flag_map(leg)
+        inc[leg.vmap[at]] = [fm[fl] for fl in rot_b.rotation(at)]
+        return rotation_system(g, inc)
+
+    rot_l = side(span.left, span.l, b.boundary)
+    po = pushout(span, {"boundary": rot_b, "left": rot_l,
+                        "context": side(span.context, span.c,
+                                        b.dual_boundary)})
+    g = po.graph
+    vpool = _CLASHING + [f"w{i}" for i in range(len(g.vertices) + 4)]
+    apool = _CLASHING + [f"x{i}" for i in range(len(g.arcs()) + 6)]
+    rng.shuffle(vpool)
+    rng.shuffle(apool)
+    vnames = dict(zip(g.sorted_vertices(), vpool))
+    anames = dict(zip(g.arcs(), apool))
+    host, rot_h = _renamed(g, po.rotation, vnames, anames)
+    m = morphism(span.left, host,
+                 {x: vnames[y] for x, y in po.m.vmap.items()},
+                 {x: anames[y] for x, y in po.m.amap.items()})
+    # untouched components on the ids left over
+    extra_vs = vpool[len(g.vertices):][:rng.randint(0, 4)]
+    extra_as = apool[len(g.arcs()):]
+    n_edges = rng.randint(0, 5) if extra_vs else 0
+    n_circles = rng.randint(0, 2)
+    host = graph(host.vertices | set(extra_vs),
+                 {**host.edges, **{e: (rng.choice(extra_vs),
+                                       rng.choice(extra_vs))
+                                   for e in extra_as[:n_edges]}},
+                 host.circles | set(extra_as[n_edges:n_edges + n_circles]))
+    inc = dict(rot_h.inc)
+    inc.update({v: _shuffled(rng, flags_at(host, v)) for v in extra_vs})
+    be = BoundaryEmbedding(b, span.left, host, span.l,
+                           morphism(span.left, host, m.vmap, m.amap))
+    return be, {"boundary": rot_b, "left": rot_l,
+                "host": rotation_system(host, inc)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_classify_re_pairings_agrees_with_naive_per_solution(seed):
+    # genus_report of each solution's whole complement is the oracle
+    be, rots = _random_rotated_embedding(seed)
+    out = classify_re_pairings(be, rots)
+    assert [s for s, _ in out] == enumerate_re_pairings(be)
+    assert [r for _, r in out] == [
+        genus_report(pushout_complement(be, i, rots).rotation)
+        for i in range(len(out))]
+
+
+def test_random_rotated_embeddings_cover_the_local_cases():
+    # the generator above reaches every case the local classification
+    # must get right: matches inside a larger component (dangling edges
+    # to the dual), untouched components, untouched ids that the fresh
+    # names start from, and more than one solution
+    seen = set()
+    for seed in range(300):
+        be, rots = _random_rotated_embedding(seed)
+        comp = pushout_complement(be, rotations=rots)
+        if any(s != t and comp.dual_boundary in (s, t)
+               for s, t in comp.context.edges.values()):
+            seen.add("dangling edge")
+        vimg, aimg = set(be.m.vmap.values()), set(be.m.amap.values())
+        for vs, arcs in connected_components(be.host):
+            if not (vs & vimg or arcs & aimg):
+                seen.add("untouched component")
+                if be.b.dual_boundary in vs or arcs & set(be.b.graph.edges):
+                    seen.add("untouched id clashes")
+        if len(enumerate_re_pairings(be)) > 1:
+            seen.add("several solutions")
+    assert seen == {"dangling edge", "untouched component",
+                    "untouched id clashes", "several solutions"}
+
+
+def _bouquet_beside_grid(k, side):
+    """`_bouquet_on_circle(k)` with the triangle replaced by a side x
+    side grid in its planar rotation."""
+    be, rots = _bouquet_on_circle(k)
+    vid = lambda i, j: f"g{i}_{j}"
+    edges, inc = {}, {}
+    for i in range(side):
+        for j in range(side):
+            if j + 1 < side:
+                edges[f"x{i}_{j}"] = (vid(i, j), vid(i, j + 1))
+            if i + 1 < side:
+                edges[f"y{i}_{j}"] = (vid(i, j), vid(i + 1, j))
+    for i in range(side):
+        for j in range(side):
+            # counterclockwise: right, up, left, down
+            inc[vid(i, j)] = [fl for fl, ok in (
+                (Flag(f"x{i}_{j}", "src"), j + 1 < side),
+                (Flag(f"y{i - 1}_{j}", "tgt"), i > 0),
+                (Flag(f"x{i}_{j - 1}", "tgt"), j > 0),
+                (Flag(f"y{i}_{j}", "src"), i + 1 < side)) if ok]
+    host = graph(inc, edges, ["o"])
+    m = morphism(be.left, host, {}, be.m.amap)
+    return (BoundaryEmbedding(be.b, be.left, host, be.l, m),
+            dict(rots, host=rotation_system(host, inc)))
+
+
+def test_classify_re_pairings_traces_only_the_touched_part_per_solution(
+        monkeypatch):
+    # count, not time: the sizes of the graphs genus_report traces
+    import dpoembed.dpo as dpo
+    real = dpo.genus_report
+    traced = {}
+    for side in (4, 8):
+        sizes = traced[side] = []
+
+        def recording(rs):
+            g = rs.graph
+            sizes.append((len(g.vertices), len(g.edges), len(g.circles)))
+            return real(rs)
+
+        monkeypatch.setattr(dpo, "genus_report", recording)
+        be, rots = _bouquet_beside_grid(4, side)
+        out = classify_re_pairings(be, rots)
+        assert len(out) == len(sizes) == 6
+        grid = out[0][1].components[1]
+        assert grid.genus == 0 and grid.face_count == (side - 1) ** 2 + 1
+    # the first solution's complement is traced whole, the other five
+    # only at the dual vertex with its four loops
+    assert traced[4][0] != traced[8][0]
+    assert traced[4][1:] == traced[8][1:] == [(1, 4, 0)] * 5
+
+
+def test_genus_report_counts_faces_per_component_with_many_components():
+    # one loop (2 faces), two interleaved loops (1 face, genus 1), an
+    # isolated vertex (1 face), each 200 times, plus 50 circles
+    edges, inc, expected = {}, {}, {}
+    for i in range(200):
+        a, b, c, z = f"a{i:03d}", f"b{i:03d}", f"c{i:03d}", f"z{i:03d}"
+        edges[a] = (a, a)
+        inc[a] = [Flag(a, "src"), Flag(a, "tgt")]
+        edges[b] = edges[c] = (b, b)
+        inc[b] = [Flag(b, "src"), Flag(c, "src"),
+                  Flag(b, "tgt"), Flag(c, "tgt")]
+        inc[z] = []
+        expected.update({a: (2, 0), b: (1, 1), z: (1, 0)})
+    circles = [f"o{i:02d}" for i in range(50)]
+    expected.update((o, (2, 0)) for o in circles)
+    rs = rotation_system(graph(inc, edges, circles), inc)
+    report = genus_report(rs)
+    assert {(c.vertices or c.arcs)[0]: (c.face_count, c.genus)
+            for c in report.components} == expected
+    faces = trace_faces(rs)
+    for comp in report.components:
+        if comp.edge_count:
+            assert comp.face_count == sum(
+                1 for walk in faces if walk[0][0] in comp.arcs)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dpoembed import graph, identity, morphism
 from dpoembed.serialize import (
@@ -182,3 +183,32 @@ def test_rotation_graph_requires_rotations():
         {"format_version": "1", "kind": "rotation_graph", "body": body}))
     g, rs = load_document(doc)
     assert rs is not None
+
+
+def _dumped(body):
+    return json.dumps({"format_version": "1", "kind": "trace", "body": body},
+                      sort_keys=True, indent=2) + "\n"
+
+
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(st.text(), max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.text(), st.text(), max_size=4)),
+    max_leaves=25)
+
+
+@given(_PLAIN)
+def test_print_document_is_json_dumps(body):
+    # strings run through non-ASCII text, escapes and empty containers
+    assert print_document(Document("trace", body)) == _dumped(body)
+
+
+@pytest.mark.parametrize("body", [
+    {"x": 1.5, "y": ["a"]}, [float("inf")], {1: "a", 2: ["b"]},
+    {"b": {3: None}}, "caf\u00e9 \"\\\n\t\x00"],
+    ids=["float", "infinity", "int-keys", "nested-int-key", "escapes"])
+def test_print_document_falls_back_to_json_dumps(body):
+    assert print_document(Document("trace", body)) == _dumped(body)
