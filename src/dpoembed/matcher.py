@@ -1,25 +1,32 @@
 """Match search: finding embeddings of a rule's left-hand side into a
 host graph that form boundary embeddings.
 
-Backtracking over the interior vertices of L in id order, followed by
-enumeration of the per-vertex flag bijections and of the images of
-flagless arcs (self-loops at the boundary image and circles).  The rule
-is validated once per search; each candidate then gets the one check
-that can fail, `classify` of the match.  `check_match` is the full naive
-check of one candidate; lawcheck's brute-force oracle uses it to check
-the search for soundness and completeness.
+One backtracking walk over the flags of L.  It visits L's interior
+breadth-first, one component of L minus the boundary image at a time,
+each from a root next to the boundary image.  A root takes a vertex
+step, trying every unused host vertex of equal degree; every other
+vertex is placed by the edge that reached it.  Each interior vertex
+then takes one flag step per flag at it, in rotation order given
+rotations and in incidence order otherwise.  A flag takes an unused
+host flag with its end at the vertex's image: the one its mapped edge
+forces, the one at its cyclic offset from the vertex's first flag given
+rotations, or any; mapping a new edge places its far endpoint.
+Self-loops at the boundary image take any host arc.
+The rule is validated once per search, and each candidate gets one
+`classify`.  `check_match` is the full naive check of one candidate;
+lawcheck's brute-force oracle uses it to check the search for soundness
+and completeness.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .graph import SRC, TGT, Graph, degree, flags_at, is_connected
+from .graph import SRC, Flag, Graph, degree, is_connected
 from .morphism import GraphMorphism, classify, morphism
 from .boundary import BoundaryEmbedding, _match_errors
 from .dpo import Rotations, RewriteRule, _check_rotations, _roles, validate_rule
-from .rotation import check_rot_morphism
 
 
 class MatcherError(Exception):
@@ -45,20 +52,10 @@ def check_match(rule: RewriteRule, host: Graph,
     return validate_rule(rule) + _match_errors(be)
 
 
-def _flag_bijections(l_flags, h_flags):
-    """All end-preserving bijections between two flag sets."""
-    by_end_l = {SRC: [], TGT: []}
-    by_end_h = {SRC: [], TGT: []}
-    for fl in sorted(l_flags):
-        by_end_l[fl.end].append(fl)
-    for fl in sorted(h_flags):
-        by_end_h[fl.end].append(fl)
-    if any(len(by_end_l[e]) != len(by_end_h[e]) for e in (SRC, TGT)):
-        return
-    for src_perm in itertools.permutations(by_end_h[SRC]):
-        for tgt_perm in itertools.permutations(by_end_h[TGT]):
-            yield dict(zip(by_end_l[SRC], src_perm)) | dict(
-                zip(by_end_l[TGT], tgt_perm))
+def _far_end(g: Graph, fl: Flag) -> str:
+    """The vertex at the other end of the flag's edge."""
+    s, t = g.edges[fl.edge]
+    return t if fl.end == SRC else s
 
 
 def find_matches(rule: RewriteRule, host: Graph,
@@ -73,90 +70,82 @@ def find_matches(rule: RewriteRule, host: Graph,
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
     # The rule's half of the boundary-embedding conditions, once per
-    # search: an invalid rule has no matches.
-    rule_ok = not validate_rule(rule)
-    boundary_image = rule.l.v(rule.b.boundary)
-    interior = sorted(v for v in left.vertices if v != boundary_image)
-    if not interior and not left.edges and not left.circles:
-        return []  # degenerate rule: nothing to anchor a match
+    # search: an invalid rule has no matches.  A valid rule's L holds
+    # the boundary image, so, being connected, it has no circle.
+    if validate_rule(rule) or not left.edges:
+        return []  # invalid rule, or nothing to anchor a match
+    lb = rule.l.v(rule.b.boundary)
 
+    flags = left.incidence if rots is None else rots[0].inc
+    if rots is not None:
+        offset = {fl: i for w in host.vertices
+                  for i, fl in enumerate(rots[1].rotation(w))}
+    steps, seen = [], {lb}
+    for root in [_far_end(left, fl) for fl in flags[lb]]:
+        if root in seen:
+            continue
+        seen.add(root)
+        component = [root]
+        steps.append((root, None))  # only a root takes a vertex step
+        for v in component:  # grows as the loop runs: breadth-first
+            steps += [(v, k) for k in range(len(flags[v]))]
+            for u in [_far_end(left, fl) for fl in flags[v]]:
+                if u not in seen:
+                    seen.add(u)
+                    component.append(u)
+    loops = [e for e, ends in left.edges.items() if ends == (lb, lb)]
     host_vertices = host.sorted_vertices()
-    free_arcs = sorted(
-        [e for e in left.edges
-         if left.edges[e] == (boundary_image, boundary_image)]
-        + list(left.circles))
+    host_arcs = host.arcs()
     results: List[BoundaryEmbedding] = []
 
-    def record(vmap, amap):
-        # vmap covers exactly the interior, and distinct vertex maps,
-        # flag bijections and free-arc choices give distinct morphisms:
-        # only the embedding condition can fail here
-        m = morphism(left, host, vmap, amap)
-        if not classify(m).is_embedding:
-            return
-        results.append(BoundaryEmbedding(rule.b, left, host, rule.l, m))
-        if len(results) > MAX_MATCHES:
-            raise MatchLimitExceeded(f"more than {MAX_MATCHES} matches")
+    def fits(u, x, vmap):
+        return (x in host.vertices and x not in vmap.values()
+                and degree(host, x) == degree(left, u))
 
-    host_arcs = host.arcs()
-    host_circles = host.sorted_circles()
-
-    def assign_free_arcs(vmap, amap):
-        loops = [a for a in free_arcs if left.is_edge(a)]
-        circles = [a for a in free_arcs if left.is_circle(a)]
-        loop_choices = itertools.product(host_arcs, repeat=len(loops))
-        for loop_imgs in loop_choices:
-            for circ_imgs in itertools.permutations(host_circles, len(circles)):
-                full = dict(amap)
-                full.update(zip(loops, loop_imgs))
-                full.update(zip(circles, circ_imgs))
-                record(vmap, full)
-
-    def assign_arcs(vmap):
-        # Per matched vertex, enumerate end-preserving flag bijections;
-        # each choice forces the arc map on the incident edges, and the
-        # forcings must agree where an edge has two matched endpoints.
-        per_vertex = []
-        for v in interior:
-            options = list(_flag_bijections(
-                flags_at(left, v), flags_at(host, vmap[v])))
-            if not options:
-                return
-            per_vertex.append(options)
-        for combo in itertools.product(*per_vertex):
-            amap: Dict[str, str] = {}
-            ok = True
-            for bij in combo:
-                for fl, hfl in bij.items():
-                    forced = amap.get(fl.edge)
-                    if forced is not None and forced != hfl.edge:
-                        ok = False
-                        break
-                    amap[fl.edge] = hfl.edge
-                if not ok:
-                    break
-            if ok:
-                assign_free_arcs(vmap, amap)
-
-    def backtrack(i, vmap, used):
-        if i == len(interior):
-            assign_arcs(dict(vmap))
-            return
-        v = interior[i]
-        d = degree(left, v)
-        for w in host_vertices:
-            if w in used or degree(host, w) != d:
+    def leaves(vmap, amap):
+        # vmap covers exactly the interior, the walk keeps degrees, ends
+        # and flags one to one, and distinct walks and loop images give
+        # distinct morphisms: classify confirms each is an embedding
+        for imgs in itertools.product(host_arcs, repeat=len(loops)):
+            m = morphism(left, host, vmap, {**amap, **dict(zip(loops, imgs))})
+            if not classify(m).is_embedding:
                 continue
-            vmap[v] = w
-            used.add(w)
-            backtrack(i + 1, vmap, used)
-            del vmap[v]
-            used.remove(w)
+            results.append(BoundaryEmbedding(rule.b, left, host, rule.l, m))
+            if len(results) > MAX_MATCHES:
+                raise MatchLimitExceeded(f"more than {MAX_MATCHES} matches")
 
-    if rule_ok:
-        backtrack(0, {}, set())
+    # Depth first over partial maps, each a fresh (step, vmap, amap, host
+    # flags taken): an explicit stack, so L's size meets no recursion limit.
+    stack = [(0, {}, {}, frozenset())]
+    while stack:
+        i, vmap, amap, taken = stack.pop()
+        if i == len(steps):
+            leaves(vmap, amap)
+            continue
+        v, k = steps[i]
+        if k is None:  # a root; the edge that reached any other placed it
+            stack.extend((i + 1, {**vmap, v: w}, amap, taken)
+                         for w in host_vertices if fits(v, w, vmap))
+            continue
+        fl, w = flags[v][k], vmap[v]
+        e, u = fl.edge, _far_end(left, fl)
+        if rots is not None and k:
+            first, rot = flags[v][0], rots[1].rotation(w)
+            at = offset[Flag(amap[first.edge], first.end)] + k
+            candidates = [rot[at % len(rot)]]
+        elif e in amap:
+            candidates = [Flag(amap[e], fl.end)]
+        else:
+            candidates = host.incidence[w]
+        for hfl in candidates:
+            if (hfl.end != fl.end or hfl in taken
+                    or amap.get(e, hfl.edge) != hfl.edge):
+                continue
+            x, mapped = _far_end(host, hfl), {**amap, e: hfl.edge}
+            if u == lb or vmap.get(u) == x:
+                stack.append((i + 1, vmap, mapped, taken | {hfl}))
+            elif u not in vmap and fits(u, x, vmap):
+                stack.append((i + 1, {**vmap, u: x}, mapped, taken | {hfl}))
 
-    if rots is not None:
-        results = [be for be in results if check_rot_morphism(be.m, *rots)]
     results.sort(key=lambda be: be.m.key())
     return results

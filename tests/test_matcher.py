@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpoembed
 from dpoembed import (
     Flag,
     RewriteRule,
@@ -10,9 +16,10 @@ from dpoembed import (
     graph,
     morphism,
     rotation_system,
+    validate_rule,
 )
 from dpoembed.boundary import BoundaryGraph
-from dpoembed.lawcheck import brute_force_matches
+from dpoembed.lawcheck import all_rotations, brute_force_matches
 from dpoembed.matcher import MAX_MATCHES, LNotConnected, MatchLimitExceeded
 from dpoembed.morphism import classify
 
@@ -245,4 +252,117 @@ def test_find_matches_agrees_with_brute_force(which, host):
     found = find_matches(rule, host)
     expected = brute_force_matches(rule, host)
     assert keys(found) == keys(expected)
+    assert found == expected
+
+
+def test_circle_beside_the_boundary_image_is_not_connected(mixed_host):
+    # a valid rule's L holds the boundary image, so a circle in L is a
+    # second component: the search never meets a circle of L
+    b = BoundaryGraph(graph(["bnd", "dbd"]), "bnd", "dbd")
+    left = graph(["vb"], {}, ["o"])
+    l = morphism(b.graph, left, {"bnd": "vb"}, {})
+    rule = RewriteRule(b, left, left, l, l)
+    assert validate_rule(rule) == []
+    with pytest.raises(LNotConnected):
+        find_matches(rule, mixed_host)
+
+
+def _two_step_rule():
+    """L is a path through two interior vertices: vb -> u -> w -> vb."""
+    b = _boundary()
+    left = graph(["vb", "u", "w"],
+                 {"x": ("vb", "u"), "y": ("u", "w"), "z": ("w", "vb")})
+    l = morphism(b.graph, left, {"bnd": "vb"}, {"e1": "x", "e2": "z"})
+    return RewriteRule(b, left, left, l, l)
+
+
+def test_two_step_rule_walks_from_its_first_vertex(monkeypatch):
+    # only u tries every host vertex; w is placed by the edge u -> w, so
+    # the degree queries grow linearly with the host, not quadratically
+    import dpoembed.matcher as matcher
+    calls = count_calls(monkeypatch, matcher.degree)
+    counts = []
+    for n in (50, 100):
+        calls[0] = 0
+        assert len(find_matches(_two_step_rule(), _cycle(n))) == n
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0]
+
+
+def _bouquet_instance(k, rotated=False):
+    """An interior vertex with k self-loops, one arc in from the
+    boundary image and one out to it, on a host of the same shape; with
+    `rotated`, the same rotation at both centres, so exactly one of the
+    k! plain matches preserves it."""
+    b = _boundary()
+    left = graph(["vb", "v"], {"x": ("vb", "v"), "y": ("v", "vb"),
+                               **{f"a{i}": ("v", "v") for i in range(k)}})
+    l = morphism(b.graph, left, {"bnd": "vb"}, {"e1": "x", "e2": "y"})
+    host = graph(["p", "q"], {"hx": ("p", "q"), "hy": ("q", "p"),
+                              **{f"h{i}": ("q", "q") for i in range(k)}})
+    rule = RewriteRule(b, left, left, l, l)
+    if not rotated:
+        return rule, host, None
+
+    def rotation(g, centre, side, inward, outward, loop):
+        loops = [Flag(f"{loop}{i}", end)
+                 for i in range(k) for end in ("src", "tgt")]
+        return rotation_system(g, {
+            side: [Flag(inward, "src"), Flag(outward, "tgt")],
+            centre: [Flag(inward, "tgt"), *loops, Flag(outward, "src")]})
+    return rule, host, {"left": rotation(left, "v", "vb", "x", "y", "a"),
+                        "host": rotation(host, "q", "p", "hx", "hy", "h")}
+
+
+def test_bouquet_builds_each_match_once(monkeypatch):
+    # 6 loops: 720 matches, and no candidate morphism beyond them
+    import dpoembed.matcher as matcher
+    candidates = count_calls(monkeypatch, matcher.morphism)
+    rule, host, _ = _bouquet_instance(6)
+    assert len(find_matches(rule, host)) == 720
+    assert candidates[0] == 720
+
+
+_CAP_CHILD = """
+import resource, sys
+sys.path.insert(0, {tests!r})
+from test_matcher import _bouquet_instance
+from dpoembed.matcher import MatchLimitExceeded, find_matches
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+rule, host, rotations = _bouquet_instance(8, rotated=True)
+print(len(find_matches(rule, host, rotations)))
+try:
+    find_matches(rule, host)
+except MatchLimitExceeded as exc:
+    print(exc)
+"""
+
+
+def test_match_limit_counts_rotation_preserving_matches():
+    # 8 loops: 8! = 40,320 plain matches, past the cap, of which one
+    # preserves rotation; in a child with 1 GiB of address space, so a
+    # search that builds its candidates eagerly fails fast
+    tests = str(pathlib.Path(__file__).parent)
+    src = str(pathlib.Path(dpoembed.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _CAP_CHILD.format(tests=tests)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"1\nmore than {MAX_MATCHES} matches\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["loop", "path", "spoked"]), small_hosts(), st.data())
+def test_find_matches_with_rotations_agrees_with_brute_force(which, host,
+                                                             data):
+    # the oracle filters brute-force matches with check_rot_morphism,
+    # which the search does not call
+    rule = {"loop": _loop_rule, "path": _path_rule,
+            "spoked": lambda: _spoked_rule(_boundary())}[which]()
+    rot_l = data.draw(st.sampled_from(all_rotations(rule.left)))
+    rot_h = data.draw(st.sampled_from(all_rotations(host)))
+    found = find_matches(rule, host, {"left": rot_l, "host": rot_h})
+    expected = [be for be in brute_force_matches(rule, host)
+                if check_rot_morphism(be.m, rot_l, rot_h)]
     assert found == expected

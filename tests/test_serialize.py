@@ -1,11 +1,14 @@
+import copy
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpoembed import graph, identity, morphism
 from dpoembed.serialize import (
+    _BODY_FIELDS,
     Document,
+    DocumentError,
     DocumentSyntaxError,
     UnknownField,
     ValidationFailed,
@@ -15,6 +18,7 @@ from dpoembed.serialize import (
     morphism_doc,
     parse_document,
     print_document,
+    read_document,
     span_shaped_doc,
 )
 
@@ -212,3 +216,64 @@ def test_print_document_is_json_dumps(body):
     ids=["float", "infinity", "int-keys", "nested-int-key", "escapes"])
 def test_print_document_falls_back_to_json_dumps(body):
     assert print_document(Document("trace", body)) == _dumped(body)
+
+
+# Field names and ids the loaders read, so that generated values get
+# past the first checks and reach the nested ones.
+_NAMES = st.sampled_from(sorted(
+    {f for spec in _BODY_FIELDS.values() if spec for part in spec
+     for f in part}
+    | {"vertices", "edges", "circles", "rotations", "source", "target",
+       "arcs", "boundary_vertex", "dual_boundary_vertex"}))
+_IDS = st.sampled_from(["v", "w", "e", "o", "bnd", "dbd", "e.src", "e.tgt"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _IDS
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_NAMES | _IDS, inner, max_size=5)),
+    max_leaves=20)
+_DROP = object()
+# Every kind with an empty body, whose root an edit replaces by an
+# arbitrary value, and every fixture body under its own kind.
+_SEEDS = ([(kind, {}) for kind in sorted(_BODY_FIELDS)]
+          + [(doc["kind"], doc["body"]) for doc in
+             (json.loads(path.read_text()) for path in CORPUS)])
+
+
+def _slots(value):
+    """(container, key) for every value nested in `value`."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    out = []
+    for key, inner in items:
+        out += [(value, key)] + _slots(inner)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SEEDS),
+       st.lists(st.tuples(st.integers(0), _JSON | st.just(_DROP)),
+                min_size=1, max_size=3),
+       st.booleans())
+def test_read_document_loads_or_refuses_any_json(seed, edits, lenient):
+    # exit codes 1 and 2 rest on this: whatever JSON value a field
+    # holds, the document loads or is refused with a DocumentError
+    kind, body = seed[0], copy.deepcopy(seed[1])
+    for where, value in edits:
+        if value is not _DROP:
+            value = copy.deepcopy(value)  # later edits may write into it
+        slots = _slots(body)
+        if not slots:
+            body = {} if value is _DROP else value
+            continue
+        container, key = slots[where % len(slots)]
+        if value is _DROP:
+            del container[key]
+        else:
+            container[key] = value
+    text = json.dumps({"format_version": "1", "kind": kind, "body": body})
+    try:
+        read_document(text, lenient)
+    except DocumentError:
+        pass
