@@ -3,7 +3,8 @@ against generated instances.
 
 Instance generation is exhaustive up to a budget and seeded-random
 beyond it.  The morphism oracle here enumerates partial vertex tables
-times total arc tables and filters with `classify`; no cleverness, by
+times total arc tables and filters with `is_morphism`, written from the
+definitions; no cleverness and no code shared with `morphism`, by
 design, so it stays an independent check on the constructive code
 paths.  Every counterexample is reported as a replayable serialized
 fixture.
@@ -147,13 +148,44 @@ def _enumerate_maps(dom: Graph, cod: Graph) -> Iterator[GraphMorphism]:
             yield morphism(dom, cod, vmap, dict(zip(dom_arcs, aassign)))
 
 
+def is_morphism(f: GraphMorphism) -> bool:
+    """Whether the map data forms a morphism, from the definitions: the
+    arc map is total on the domain's arcs and lands on arcs, circles go
+    to circles, the vertex map is a partial map between the vertex
+    sets, and at every defined vertex v each edge end at v goes to an
+    edge end at f(v), with every edge end at f(v) hit.  Stops at the
+    first failure; independent of `classify`, which it checks."""
+    dom, cod = f.dom, f.cod
+    if set(f.amap) != set(dom.edges) | dom.circles:
+        return False
+    for a, img in f.amap.items():
+        if img not in cod.edges and img not in cod.circles:
+            return False
+        if a in dom.circles and img not in cod.circles:
+            return False
+    for v, w in f.vmap.items():
+        if v not in dom.vertices or w not in cod.vertices:
+            return False
+        hit = set()
+        for e, (s, t) in dom.edges.items():
+            for end, x, i in ((SRC, s, 0), (TGT, t, 1)):
+                if x != v:
+                    continue
+                img = f.amap[e]
+                if img not in cod.edges or cod.edges[img][i] != w:
+                    return False
+                hit.add(Flag(img, end))
+        if not _scan_flags(cod, w) <= hit:
+            return False
+    return True
+
+
 def enumerate_morphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     """All morphisms dom -> cod, by brute force over map tables."""
     key = (graph_key(dom), graph_key(cod))
     if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = [
-            f for f in _enumerate_maps(dom, cod) if classify(f).is_morphism
-        ]
+        _HOM_CACHE[key] = [f for f in _enumerate_maps(dom, cod)
+                           if is_morphism(f)]
     return _HOM_CACHE[key]
 
 

@@ -9,9 +9,11 @@ embedding, or neither, and reports every violated condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .graph import SRC, TGT, Flag, Graph, flags_at, graph
+from .graph import SRC, TGT, Flag, Graph, graph
 
 INVALID = "invalid"
 MORPHISM = "morphism"
@@ -28,6 +30,16 @@ class DomainMismatch(MorphismError):
 
 @dataclass(frozen=True)
 class GraphMorphism:
+    """A partial vertex map and a total arc map from `dom` to `cod`.
+
+    Immutable after construction, like `Graph`: nothing writes into
+    `vmap` or `amap` once `morphism` has built them.  The flag map, the
+    flag-surjectivity failures and the classification are derived from
+    them on first use and kept on this instance, as `Graph.incidence`
+    is; they are not dataclass fields, so equality, repr and
+    serialization do not see them.
+    """
+
     dom: Graph
     cod: Graph
     vmap: Mapping[str, str]
@@ -41,6 +53,18 @@ class GraphMorphism:
 
     def key(self):
         return (tuple(sorted(self.vmap.items())), tuple(sorted(self.amap.items())))
+
+    @cached_property
+    def _flags(self):
+        return _flag_table(self)
+
+    @cached_property
+    def _uncovered(self):
+        return _surjectivity_failures(self)
+
+    @cached_property
+    def _class(self):
+        return _classify(self)
 
 
 def morphism(dom: Graph, cod: Graph, vmap=None, amap=None) -> GraphMorphism:
@@ -69,45 +93,42 @@ class MorphismClass:
         return tuple(code for code, _ in self.violations)
 
 
-def flag_map(f: GraphMorphism) -> Dict[Flag, Flag]:
-    """The induced partial map on flags.
+def _flag_table(f: GraphMorphism):
+    """The flag map, read-only, and the lax-naturality violations of the
+    source/target maps against the arc map, built together in one walk
+    over the domain's sorted edges.  The map's keys come out in flag
+    order: edges in id order, each with its source end first."""
+    fm: Dict[Flag, Flag] = {}
+    lax = []
+    vmap, cod_edges = f.vmap, f.cod.edges
+    for e, ends in sorted(f.dom.edges.items()):
+        img = f.amap.get(e)
+        if img is None:
+            continue
+        img_ends = cod_edges.get(img)
+        for end, v, w in zip((SRC, TGT), ends, img_ends or (None, None)):
+            fv = vmap.get(v)
+            if fv is None:
+                continue
+            if img_ends is None:
+                lax.append(("LaxNaturalityBroken",
+                            f"edge {e} maps to circle {img} but vertex map "
+                            f"is defined on its {end}"))
+                continue
+            fm[Flag(e, end)] = Flag(img, end)
+            if w != fv:
+                lax.append(("LaxNaturalityBroken", f"edge {e}.{end}: {w} != {fv}"))
+    return MappingProxyType(fm), tuple(lax)
+
+
+def flag_map(f: GraphMorphism) -> Mapping[Flag, Flag]:
+    """The induced partial map on flags, as a read-only view.
 
     Defined on (e, end) exactly when the vertex map is defined on the
     endpoint of that flag; the value keeps the end tag, which is what
     makes the map well-defined on self-loops.
     """
-    out: Dict[Flag, Flag] = {}
-    for e in f.dom.sorted_edges():
-        s, t = f.dom.edges[e]
-        img = f.a(e)
-        for end, v in ((SRC, s), (TGT, t)):
-            if f.v(v) is not None and img is not None and f.cod.is_edge(img):
-                out[Flag(e, end)] = Flag(img, end)
-    return out
-
-
-def _lax_violations(f: GraphMorphism):
-    """Lax naturality of source/target against the arc map."""
-    out = []
-    for e in f.dom.sorted_edges():
-        img = f.a(e)
-        if img is None:
-            continue
-        for end in (SRC, TGT):
-            v = f.dom.source(e) if end == SRC else f.dom.target(e)
-            fv = f.v(v)
-            if fv is None:
-                continue
-            if not f.cod.is_edge(img):
-                out.append(("LaxNaturalityBroken",
-                            f"edge {e} maps to circle {img} but vertex map is "
-                            f"defined on its {end}"))
-                continue
-            w = f.cod.source(img) if end == SRC else f.cod.target(img)
-            if w != fv:
-                out.append(("LaxNaturalityBroken",
-                            f"edge {e}.{end}: {w} != {fv}"))
-    return out
+    return f._flags[0]
 
 
 def is_flag_injective(f: GraphMorphism) -> bool:
@@ -118,20 +139,24 @@ def is_flag_injective(f: GraphMorphism) -> bool:
 def is_flag_surjective(f: GraphMorphism) -> bool:
     """Preimage-containment form: for defined v, the flags at f(v) are
     covered by the images of the flags at v."""
-    return not _surjectivity_failures(f, flag_map(f))
+    return not f._uncovered
 
 
-def _surjectivity_failures(f: GraphMorphism, fm: Dict[Flag, Flag]):
+def _surjectivity_failures(f: GraphMorphism):
+    """(v, uncovered flags at f(v), sorted) for each vertex v of the
+    domain, in id order, that maps into the codomain."""
+    fm = flag_map(f)
+    dom, cod = f.dom, f.cod
     out = []
-    for v in f.dom.sorted_vertices():
-        fv = f.v(v)
-        if fv not in f.cod.vertices:  # undefined, or a bad entry
-            continue
-        image = {fm[fl] for fl in flags_at(f.dom, v) if fl in fm}
-        missing = flags_at(f.cod, fv) - image
+    for v in sorted(f.vmap):
+        fv = f.vmap[v]
+        if v not in dom.vertices or fv not in cod.vertices:
+            continue  # a bad entry
+        image = {fm[fl] for fl in dom.incidence[v] if fl in fm}
+        missing = [fl for fl in cod.incidence[fv] if fl not in image]
         if missing:
             out.append((v, tuple(sorted(missing))))
-    return out
+    return tuple(out)
 
 
 def is_flag_bijective(f: GraphMorphism) -> bool:
@@ -139,31 +164,35 @@ def is_flag_bijective(f: GraphMorphism) -> bool:
 
 
 def classify(f: GraphMorphism) -> MorphismClass:
-    """Decide morphism/embedding status, reporting all violations."""
-    violations = []
+    """Decide morphism/embedding status, reporting all violations.  Each
+    morphism is classified once, on the first call."""
+    return f._class
 
-    dom_arcs = set(f.dom.arcs())
-    for a in sorted(dom_arcs):
-        img = f.a(a)
-        if img is None or (img not in f.cod.edges
-                           and img not in f.cod.circles):
+
+def _classify(f: GraphMorphism) -> MorphismClass:
+    violations = []
+    dom, cod = f.dom, f.cod
+
+    dom_arcs = dom.edges.keys() | dom.circles
+    for a in sorted(dom_arcs):  # edges and circles in one id order
+        img = f.amap.get(a)
+        if img is None or (img not in cod.edges and img not in cod.circles):
             violations.append(("NotTotalOnArcs", f"arc {a} has no image"))
     for a in sorted(f.amap):
         if a not in dom_arcs:
             violations.append(("NotTotalOnArcs", f"spurious arc {a} in map"))
     for v in sorted(f.vmap):
-        if v not in f.dom.vertices or f.vmap[v] not in f.cod.vertices:
+        if v not in dom.vertices or f.vmap[v] not in cod.vertices:
             violations.append(("NotTotalOnArcs", f"bad vertex entry {v}"))
 
-    for o in f.dom.sorted_circles():
-        img = f.a(o)
-        if img is not None and f.cod.is_edge(img):
+    for o in dom.sorted_circles():
+        img = f.amap.get(o)
+        if img is not None and img in cod.edges:
             violations.append(("CircleToEdge", f"circle {o} maps to edge {img}"))
 
-    violations.extend(_lax_violations(f))
-
-    fm = flag_map(f)
-    for v, missing in _surjectivity_failures(f, fm):
+    fm, lax = f._flags
+    violations.extend(lax)
+    for v, missing in f._uncovered:
         violations.append(("NotFlagSurjective",
                            f"vertex {v}: uncovered flags "
                            + ",".join(str(m) for m in missing)))
@@ -180,14 +209,13 @@ def classify(f: GraphMorphism) -> MorphismClass:
             emb_violations.append(("VertexMapNotInjective", f"{seen[w]},{v} -> {w}"))
         seen[w] = v
     oimg = {}
-    for o in f.dom.sorted_circles():
-        img = f.a(o)
+    for o in dom.sorted_circles():
+        img = f.amap.get(o)
         if img in oimg:
             emb_violations.append(("CircleMapNotInjective", f"{oimg[img]},{o} -> {img}"))
         oimg[img] = o
     vals = {}
-    for fl in sorted(fm):
-        img = fm[fl]
+    for fl, img in fm.items():  # already in flag order
         if img in vals:
             emb_violations.append(("NotFlagInjective", f"{vals[img]},{fl} -> {img}"))
         vals[img] = fl
@@ -199,11 +227,15 @@ def classify(f: GraphMorphism) -> MorphismClass:
 
 def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     """The pointwise composite g . f; requires f.cod = g.dom."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise DomainMismatch("codomain of f is not the domain of g")
     vmap = {v: g.vmap[w] for v, w in f.vmap.items() if w in g.vmap}
     amap = {a: g.amap[b] for a, b in f.amap.items() if b in g.amap}
     return morphism(f.dom, g.cod, vmap, amap)
+
+
+def _drop_circles(g: Graph) -> Graph:
+    return graph(g.vertices, g.edges) if g.circles else g
 
 
 def forget_to_b(f: GraphMorphism):
@@ -212,8 +244,7 @@ def forget_to_b(f: GraphMorphism):
 
     Returns ((dom graph, cod graph), vmap, edge-only map).
     """
-    dom = graph(f.dom.vertices, dict(f.dom.edges))
-    cod = graph(f.cod.vertices, dict(f.cod.edges))
+    dom, cod = _drop_circles(f.dom), _drop_circles(f.cod)
     emap = {
         e: img
         for e, img in f.amap.items()

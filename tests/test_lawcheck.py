@@ -1,9 +1,15 @@
+from collections import Counter
+
 import pytest
 
 from dpoembed import (
+    EMBEDDING,
+    INVALID,
+    MORPHISM,
     BoundaryEmbedding,
     BoundaryGraph,
     PartitioningSpan,
+    classify,
     enumerate_re_pairings,
     graph,
     morphism,
@@ -13,12 +19,14 @@ from dpoembed.lawcheck import (
     LAWS,
     GenBudget,
     UnknownLaw,
+    _enumerate_maps,
     _holds_self_loop_creation,
     check_lemma,
     check_universal_property,
     gen_boundary_embeddings,
     gen_graphs,
     gen_spans,
+    is_morphism,
     run_all,
 )
 
@@ -143,3 +151,22 @@ def test_brute_force_matcher_on_degenerate_rule(two_edge_boundary,
     l = morphism(two_edge_boundary.graph, left, {"bnd": "vb"}, {})
     rule = RewriteRule(two_edge_boundary, left, left, l, l)
     assert brute_force_matches(rule, mixed_host) == []
+
+
+def test_is_morphism_agrees_with_classify_on_every_small_map():
+    # the oracle's filter is written from the definitions and shares no
+    # code with classify; over every map table between the pair laws'
+    # graphs, invalid maps included, the two must agree
+    graphs = list(gen_graphs(GenBudget(max_vertices=2, max_edges=2,
+                                       max_circles=1)))
+    kinds, disagree = Counter(), []
+    for dom in graphs:
+        for cod in graphs:
+            for f in _enumerate_maps(dom, cod):
+                cls = classify(f)
+                kinds[cls.kind] += 1
+                if is_morphism(f) != cls.is_morphism:
+                    disagree.append(f)
+    assert not disagree, disagree[0]
+    assert sum(kinds.values()) == 62927
+    assert kinds[INVALID] and kinds[MORPHISM] and kinds[EMBEDDING]

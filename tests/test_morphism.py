@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from dpoembed import (
@@ -15,6 +17,7 @@ from dpoembed import (
     morphism,
 )
 from dpoembed.graph import Flag
+from dpoembed.lawcheck import LAWS
 from dpoembed.morphism import DomainMismatch, forget_to_b
 
 LOOP = graph(["v"], {"a": ("v", "v")})
@@ -117,3 +120,51 @@ def test_forget_to_b_drops_circle_components():
     (dom, cod), vmap, emap = forget_to_b(f)
     assert not dom.circles and not cod.circles
     assert vmap == {} and emap == {}
+
+
+def _mutations():
+    fl = Flag("e", "src")
+    return [lambda fm: fm.__setitem__(fl, Flag("e", "tgt")),
+            lambda fm: fm.__delitem__(fl),
+            lambda fm: fm.update({fl: fl}),
+            lambda fm: fm.pop(fl),
+            lambda fm: fm.clear()]
+
+
+@pytest.mark.parametrize("mutate", _mutations(),
+                         ids=["setitem", "delitem", "update", "pop", "clear"])
+def test_flag_map_cannot_be_changed_through_its_result(mutate):
+    # the flag map and the classification are cached on the morphism,
+    # so what flag_map hands out must not write into the cache
+    g = graph(["x"], {"e": ("x", "x")})
+    f = morphism(g, LOOPED, {"x": "w"}, {"e": "e"})
+    before, cls = dict(flag_map(f)), classify(f)
+    with pytest.raises((TypeError, AttributeError)):
+        mutate(flag_map(f))
+    assert flag_map(f) == before
+    assert classify(f) == cls and cls.kind == EMBEDDING
+    assert is_flag_bijective(f)
+
+
+def test_composition_law_builds_each_flag_table_once(monkeypatch):
+    # classify reads a table cached on the morphism: the composite, f and
+    # g each build theirs at most once, however often the law asks
+    # (dpoembed.morphism the module; the package re-exports the function)
+    module = importlib.import_module("dpoembed.morphism")
+    builds, build = {}, module._flag_table
+
+    def counted(f):
+        builds[id(f)] = builds.get(id(f), 0) + 1
+        return build(f)
+
+    monkeypatch.setattr(module, "_flag_table", counted)
+    g = graph(["x", "y"], {"e": ("x", "y"), "l": ("y", "y")}, ["o"])
+    assert LAWS["MorphismComposition"].holds((identity(g), identity(g)))
+    assert sorted(builds.values()) == [1, 1, 1]
+
+
+def test_forget_to_b_keeps_a_graph_without_circles():
+    g = graph(["x", "y"], {"e": ("x", "y")})
+    (dom, cod), vmap, emap = forget_to_b(identity(g))
+    assert dom is g and cod is g
+    assert vmap == {"x": "x", "y": "y"} and emap == {"e": "e"}

@@ -109,6 +109,33 @@ def test_lawcheck_uses_no_private_name_of_the_library():
     assert not found
 
 
+_DICT_WRITES = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def _is_morphism_map(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("vmap", "amap")
+
+
+def test_no_module_writes_into_a_morphism_map():
+    # a morphism caches its flag map and classification on first use, so
+    # its vmap and amap must never change once it is built
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                write = _is_morphism_map(node.value)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                write = (node.func.attr in _DICT_WRITES
+                         and _is_morphism_map(node.func.value))
+            else:
+                continue
+            if write:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 def test_rotation_imports_only_graph_and_morphism():
     # the topology layer sits below the rewriting engine that uses it
     tree = ast.parse((SRC / "rotation.py").read_text())
