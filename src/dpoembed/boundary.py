@@ -247,52 +247,50 @@ def arc_classes(be: BoundaryEmbedding) -> Dict[str, Tuple[str, ...]]:
 
 def _class_arrangements(be: BoundaryEmbedding, half: PairingGraph, a: str,
                         members: Tuple[str, ...]):
-    """All red-edge sets completing one class into a path or a cycle.
+    """All red-edge sets closing one class into a path or a cycle.
 
-    Blue pairs and lone nodes are the building blocks; a red edge runs
-    from a negative node to a positive one, so a completed component is
-    a directed alternating path (host edges) or cycle (host circles).
-    Yields tuples of (neg, pos) red pairs, identity arrangement first.
+    The class is a chain of links, each an (in, out) pair of nodes: the
+    lone negative node (None, n) first, then the blue pairs (p, n), then
+    the lone positive node (p, None).  A red edge joins each link's
+    negative out node to the next link's positive in node, making a
+    directed alternating path for a host edge.  For a host circle the
+    chain also closes back to its start, and its first pair stays first,
+    so each cyclic order is listed once.  Yields tuples of sorted
+    (neg, pos) red pairs, identity arrangement first.
     """
     member_set = set(members)
     pairs = sorted((p, n) for p, n in half.blue if p in member_set)
     paired = {x for pn in pairs for x in pn}
     lone = [n for n in members if n not in paired]
-    lone_pos = [n for n in lone if half.polarity[n] == POS]
-    lone_neg = [n for n in lone if half.polarity[n] == NEG]
-
-    if be.host.is_circle(a):
-        if lone:
-            raise BoundaryEmbeddingInvariantViolated(
-                [("LoneNodeInCircleClass", f"{a}: {lone}")])
-        if not pairs:
-            yield ()
-            return
-        first, rest = pairs[0], pairs[1:]
-        for perm in itertools.permutations(rest):
-            order = (first,) + perm
-            red = []
-            for i, (_, n) in enumerate(order):
-                nxt_pos = order[(i + 1) % len(order)][0]
-                red.append((n, nxt_pos))
-            yield tuple(sorted(red))
-        return
-
-    # Host edge: a single directed path.  A lone negative node can only
-    # start the path, a lone positive node can only end it.
-    if len(lone_pos) > 1 or len(lone_neg) > 1:
+    closed = be.host.is_circle(a)
+    if closed and lone:
+        raise BoundaryEmbeddingInvariantViolated(
+            [("LoneNodeInCircleClass", f"{a}: {lone}")])
+    head = [(None, n) for n in lone if half.polarity[n] == NEG]
+    tail = [(p, None) for p in lone if half.polarity[p] == POS]
+    if len(head) > 1 or len(tail) > 1:
         raise BoundaryEmbeddingInvariantViolated(
             [("TooManyLooseEnds", f"{a}: {lone}")])
+    if closed:
+        head, pairs = pairs[:1], pairs[1:]
     for perm in itertools.permutations(pairs):
-        red = []
-        prev_out = lone_neg[0] if lone_neg else None
-        for p, n in perm:
-            if prev_out is not None:
-                red.append((prev_out, p))
-            prev_out = n
-        if lone_pos and prev_out is not None:
-            red.append((prev_out, lone_pos[0]))
-        yield tuple(sorted(red))
+        chain = (*head, *perm, *tail)
+        nxt = chain[1:] + chain[:1] if closed else chain[1:]
+        yield tuple(sorted([(n, p) for (_, n), (p, _) in zip(chain, nxt)]))
+
+
+def _solutions(be: BoundaryEmbedding, per_class: int):
+    """Re-pairing solutions in enumeration order: the product of the
+    first `per_class` arrangements of every class, canonical first."""
+    half = _blue_half(be)
+    arrangements = [
+        list(itertools.islice(_class_arrangements(be, half, a, members),
+                              per_class))
+        for a, members in arc_classes(be).items()
+    ]
+    for combo in itertools.product(*arrangements):
+        red = frozenset(pair for reds in combo for pair in reds)
+        yield PairingGraph(half.nodes, half.polarity, half.blue, red)
 
 
 def enumerate_re_pairings(be: BoundaryEmbedding):
@@ -305,19 +303,11 @@ def enumerate_re_pairings(be: BoundaryEmbedding):
 def _enumerate(be: BoundaryEmbedding):
     # No dedupe: a class's red set fixes its path or cyclic order, and
     # classes touch disjoint nodes, so every combination is distinct.
-    half = _blue_half(be)
-    per_class = [
-        list(itertools.islice(_class_arrangements(be, half, a, members),
-                              MAX_RE_PAIRINGS + 1))
-        for a, members in arc_classes(be).items()
-    ]
-    solutions = []
-    for combo in itertools.product(*per_class):
-        red = frozenset(pair for reds in combo for pair in reds)
-        solutions.append(PairingGraph(half.nodes, half.polarity, half.blue, red))
-        if len(solutions) > MAX_RE_PAIRINGS:
-            raise CombinatorialLimitExceeded(
-                f"more than {MAX_RE_PAIRINGS} re-pairing solutions")
+    solutions = list(itertools.islice(_solutions(be, MAX_RE_PAIRINGS + 1),
+                                      MAX_RE_PAIRINGS + 1))
+    if len(solutions) > MAX_RE_PAIRINGS:
+        raise CombinatorialLimitExceeded(
+            f"more than {MAX_RE_PAIRINGS} re-pairing solutions")
     return solutions
 
 
@@ -328,11 +318,7 @@ def solve_re_pairing(be: BoundaryEmbedding) -> PairingGraph:
 
 
 def _solve(be: BoundaryEmbedding) -> PairingGraph:
-    half = _blue_half(be)
-    red = []
-    for a, members in arc_classes(be).items():
-        red.extend(next(_class_arrangements(be, half, a, members)))
-    return PairingGraph(half.nodes, half.polarity, half.blue, frozenset(red))
+    return next(_solutions(be, 1))
 
 
 def red_unmatched_nodes(solution: PairingGraph) -> List[str]:

@@ -76,6 +76,12 @@ class Graph:
             inc.setdefault(t, []).append(Flag(e, TGT))
         return {v: tuple(fls) for v, fls in inc.items()}
 
+    @cached_property
+    def without_circles(self) -> "Graph":
+        """This graph's vertices and edges, its circles dropped; built on
+        first use and kept on this instance, as `incidence` is."""
+        return graph(self.vertices, self.edges)
+
     def source(self, e: str) -> str:
         return self.edges[e][0]
 

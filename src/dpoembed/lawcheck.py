@@ -3,11 +3,11 @@ against generated instances.
 
 Instance generation is exhaustive up to a budget and seeded-random
 beyond it.  The morphism oracle here enumerates partial vertex tables
-times total arc tables and filters with `is_morphism`, written from the
-definitions; no cleverness and no code shared with `morphism`, by
-design, so it stays an independent check on the constructive code
-paths.  Every counterexample is reported as a replayable serialized
-fixture.
+times total arc tables and filters with `is_morphism` or
+`is_premorphism`, written from the definitions; no cleverness and no
+code shared with `morphism`, by design, so it stays an independent
+check on the constructive code paths.  Every counterexample is
+reported as a replayable serialized fixture.
 """
 
 from __future__ import annotations
@@ -155,6 +155,16 @@ def is_morphism(f: GraphMorphism) -> bool:
     sets, and at every defined vertex v each edge end at v goes to an
     edge end at f(v), with every edge end at f(v) hit.  Stops at the
     first failure; independent of `classify`, which it checks."""
+    return _conditions_hold(f, flag_surjective=True)
+
+
+def is_premorphism(f: GraphMorphism) -> bool:
+    """Whether the map data meets every condition of `is_morphism`
+    except, possibly, that every edge end at f(v) is hit."""
+    return _conditions_hold(f, flag_surjective=False)
+
+
+def _conditions_hold(f: GraphMorphism, flag_surjective: bool) -> bool:
     dom, cod = f.dom, f.cod
     if set(f.amap) != set(dom.edges) | dom.circles:
         return False
@@ -175,7 +185,7 @@ def is_morphism(f: GraphMorphism) -> bool:
                 if img not in cod.edges or cod.edges[img][i] != w:
                     return False
                 hit.add(Flag(img, end))
-        if not _scan_flags(cod, w) <= hit:
+        if flag_surjective and not _scan_flags(cod, w) <= hit:
             return False
     return True
 
@@ -194,12 +204,8 @@ def enumerate_premorphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     surjectivity.  Used to test laws about that condition itself."""
     key = (graph_key(dom), graph_key(cod))
     if key not in _PRE_CACHE:
-        out = []
-        for f in _enumerate_maps(dom, cod):
-            cls = classify(f)
-            if cls.is_morphism or set(cls.codes()) <= {"NotFlagSurjective"}:
-                out.append(f)
-        _PRE_CACHE[key] = out
+        _PRE_CACHE[key] = [f for f in _enumerate_maps(dom, cod)
+                           if is_premorphism(f)]
     return _PRE_CACHE[key]
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .graph import SRC, TGT, Flag, Graph, graph
+from .graph import SRC, TGT, Flag, Graph
 
 INVALID = "invalid"
 MORPHISM = "morphism"
@@ -234,17 +234,14 @@ def compose(g: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     return morphism(f.dom, g.cod, vmap, amap)
 
 
-def _drop_circles(g: Graph) -> Graph:
-    return graph(g.vertices, g.edges) if g.circles else g
-
-
 def forget_to_b(f: GraphMorphism):
     """Drop circles and circle-valued components, landing in the category
     of partial graphs and flag maps.
 
     Returns ((dom graph, cod graph), vmap, edge-only map).
     """
-    dom, cod = _drop_circles(f.dom), _drop_circles(f.cod)
+    dom = f.dom.without_circles if f.dom.circles else f.dom
+    cod = f.cod.without_circles if f.cod.circles else f.cod
     emap = {
         e: img
         for e, img in f.amap.items()

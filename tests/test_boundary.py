@@ -28,10 +28,12 @@ from dpoembed.boundary import (
     POS,
     BoundaryEmbeddingInvariantViolated,
     CombinatorialLimitExceeded,
+    _class_arrangements,
     red_unmatched_nodes,
 )
 from dpoembed.lawcheck import (
     GenBudget,
+    gen_boundary_embeddings,
     is_cycle_component,
     pairing_components,
     random_boundary_embedding,
@@ -103,37 +105,93 @@ def test_single_pair_circle_class_has_one_solution(circle_host_embedding):
     assert red_unmatched_nodes(sols[0]) == []
 
 
-def _oracle_circle_solutions(be):
-    """Independent count: all red perfect matchings whose union with the
-    blue half forms one single cycle through every node."""
+def _oracle_solutions(be):
+    """Independent enumeration: every red set, each red edge a (neg, pos)
+    pair inside one class and each node on at most one, such that blue
+    and red make each class one cycle (host circle) or one path (host
+    edge) through all of its nodes.  Returns the set of red frozensets."""
     half = blue_half(be)
-    pos = sorted(n for n in half.nodes if half.polarity[n] == POS)
-    neg = sorted(n for n in half.nodes if half.polarity[n] == NEG)
-    succ_blue = {p: n for p, n in half.blue}
-    count = 0
-    for perm in itertools.permutations(pos):
-        red = dict(zip(neg, perm))
-        node = pos[0]
-        seen = 0
-        while True:
-            node = red[succ_blue[node]]
-            seen += 1
-            if node == pos[0]:
-                break
-        if seen == len(pos):
-            count += 1
-    return count
+    per_class = []
+    for a, members in arc_classes(be).items():
+        closed = be.host.is_circle(a)
+        blue = frozenset((p, n) for p, n in half.blue if p in members)
+        candidates = [(n, p) for n in members for p in members
+                      if half.polarity[n] == NEG and half.polarity[p] == POS]
+        size = len(members) - len(blue) - (0 if closed else 1)
+        found = []
+        for red in itertools.combinations(candidates, size):
+            ends = [x for pair in red for x in pair]
+            if len(set(ends)) < len(ends):
+                continue
+            p = PairingGraph(members, half.polarity, blue, frozenset(red))
+            comps = pairing_components(p)
+            if len(comps) == 1 and is_cycle_component(p, comps[0]) == closed:
+                found.append(red)
+        per_class.append(found)
+    return {frozenset(pair for red in combo for pair in red)
+            for combo in itertools.product(*per_class)}
+
+
+def _assert_matches_oracle(be):
+    sols = enumerate_re_pairings(be)
+    assert len({s.red for s in sols}) == len(sols)
+    assert {s.red for s in sols} == _oracle_solutions(be)
+    assert sols[0].key() == solve_re_pairing(be).key()
+    return sols
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 2), (4, 6)])
 def test_circle_class_solution_counts(n, expected):
-    be = bouquet_embedding((n,))
-    sols = enumerate_re_pairings(be)
+    sols = _assert_matches_oracle(bouquet_embedding((n,)))
     assert len(sols) == expected  # (n-1)! distinct cyclic arrangements
-    assert len(sols) == _oracle_circle_solutions(be)
-    assert sols[0].key() == solve_re_pairing(be).key()
-    keys = {s.key() for s in sols}
-    assert len(keys) == len(sols)
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (3, 2), (2, 2, 1)])
+def test_bouquet_solutions_match_the_oracle(sizes):
+    _assert_matches_oracle(bouquet_embedding(sizes))
+
+
+def _loops_onto_edge(k, lone_ends):
+    """L: k self-loops at the boundary image vb, each one blue pair, all
+    mapped onto the host loop he; with `lone_ends`, also vb -x-> u -y->
+    vb, whose boundary edges P (positive) and N (negative) stay unpaired
+    and map onto he too."""
+    edges, amap, left_edges = {}, {}, {}
+    for i in range(k):
+        edges[f"p{i}"], edges[f"n{i}"] = ("bnd", "dbd"), ("dbd", "bnd")
+        amap[f"p{i}"] = amap[f"n{i}"] = f"a{i}"
+        left_edges[f"a{i}"] = ("vb", "vb")
+    vertices, vmap = ["vb"], {}
+    if lone_ends:
+        edges["P"], edges["N"] = ("bnd", "dbd"), ("dbd", "bnd")
+        amap["P"], amap["N"] = "x", "y"
+        left_edges["x"], left_edges["y"] = ("vb", "u"), ("u", "vb")
+        vertices.append("u")
+        vmap["u"] = "h"
+    b = BoundaryGraph(graph(["bnd", "dbd"], edges), "bnd", "dbd")
+    left = graph(vertices, left_edges)
+    l = morphism(b.graph, left, {"bnd": "vb"}, amap)
+    host = graph(["h"], {"he": ("h", "h")})
+    m = morphism(left, host, vmap, {a: "he" for a in left_edges})
+    be = BoundaryEmbedding(b, left, host, l, m)
+    assert validate_boundary_embedding(be) == []
+    return be
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lone_ends", [False, True])
+def test_edge_class_paths_match_the_oracle(k, lone_ends):
+    # k blue pairs on a host edge close into k! paths, with or without a
+    # lone negative start and a lone positive end
+    sols = _assert_matches_oracle(_loops_onto_edge(k, lone_ends))
+    assert len(sols) == math.factorial(k)
+
+
+def test_small_embeddings_match_the_oracle():
+    bes = list(gen_boundary_embeddings(GenBudget(2, 3, 1, 4)))
+    assert bes
+    for be in bes:
+        _assert_matches_oracle(be)
 
 
 def test_edge_class_lone_ends():
@@ -162,9 +220,33 @@ def test_lone_node_in_circle_class_rejected():
     host = graph([], {}, ["o"])
     m = morphism(left, host, {}, {"x": "o"})
     be = BoundaryEmbedding(b, left, host, l, m)
-    if not validate_boundary_embedding(be):
-        with pytest.raises(BoundaryEmbeddingInvariantViolated):
-            enumerate_re_pairings(be)
+    # the loop's end at u cannot land on a circle, so m is undefined on
+    # the interior vertex u and the embedding is refused before any
+    # class is arranged
+    assert validate_boundary_embedding(be) == [("MatchUndefinedOnInterior",
+                                                 "u")]
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
+        enumerate_re_pairings(be)
+    # no valid embedding reaches the class guard, so call it directly
+    half = PairingGraph(("p",), {"p": POS}, frozenset(), frozenset())
+    with pytest.raises(BoundaryEmbeddingInvariantViolated) as exc:
+        next(_class_arrangements(be, half, "o", ("p",)))
+    assert exc.value.args[0] == [("LoneNodeInCircleClass", "o: ['p']")]
+
+
+@pytest.mark.parametrize("polarity", [POS, NEG])
+def test_too_many_loose_ends_rejected(polarity):
+    # two lone nodes of one polarity cannot both end one path; no valid
+    # embedding reaches this guard either
+    host = graph(["h"], {"he": ("h", "h")})
+    be = BoundaryEmbedding(None, None, host, None, None)
+    nodes = ("q1", "q2", "x", "y")
+    half = PairingGraph(nodes, {"q1": polarity, "q2": polarity,
+                                "x": POS, "y": NEG},
+                        frozenset({("x", "y")}), frozenset())
+    with pytest.raises(BoundaryEmbeddingInvariantViolated) as exc:
+        next(_class_arrangements(be, half, "he", nodes))
+    assert exc.value.args[0] == [("TooManyLooseEnds", "he: ['q1', 'q2']")]
 
 
 def test_solutions_are_deterministic(circle_host_embedding):

@@ -27,6 +27,7 @@ from dpoembed.lawcheck import (
     gen_graphs,
     gen_spans,
     is_morphism,
+    is_premorphism,
     run_all,
 )
 
@@ -154,19 +155,25 @@ def test_brute_force_matcher_on_degenerate_rule(two_edge_boundary,
 
 
 def test_is_morphism_agrees_with_classify_on_every_small_map():
-    # the oracle's filter is written from the definitions and shares no
+    # the oracles' filters are written from the definitions and share no
     # code with classify; over every map table between the pair laws'
-    # graphs, invalid maps included, the two must agree
+    # graphs, invalid maps included, they must agree with it: a
+    # premorphism meets every morphism condition but flag surjectivity
     graphs = list(gen_graphs(GenBudget(max_vertices=2, max_edges=2,
                                        max_circles=1)))
-    kinds, disagree = Counter(), []
+    kinds, premorphisms, disagree = Counter(), 0, []
     for dom in graphs:
         for cod in graphs:
             for f in _enumerate_maps(dom, cod):
                 cls = classify(f)
                 kinds[cls.kind] += 1
-                if is_morphism(f) != cls.is_morphism:
+                pre = (cls.is_morphism
+                       or set(cls.codes()) <= {"NotFlagSurjective"})
+                premorphisms += pre and not cls.is_morphism
+                if (is_morphism(f) != cls.is_morphism
+                        or is_premorphism(f) != pre):
                     disagree.append(f)
     assert not disagree, disagree[0]
     assert sum(kinds.values()) == 62927
     assert kinds[INVALID] and kinds[MORPHISM] and kinds[EMBEDDING]
+    assert premorphisms

@@ -168,3 +168,19 @@ def test_forget_to_b_keeps_a_graph_without_circles():
     (dom, cod), vmap, emap = forget_to_b(identity(g))
     assert dom is g and cod is g
     assert vmap == {"x": "x", "y": "y"} and emap == {"e": "e"}
+
+
+def test_forget_to_b_builds_each_circle_free_graph_once():
+    # the circle-free copy is kept on the graph, so repeated calls, and
+    # calls on other morphisms over the same graphs, hand out one object
+    g = graph(["x"], {"e": ("x", "x")}, ["o"])
+    h = graph(["w"], {"c": ("w", "w")}, ["p"])
+    f = morphism(g, h, {"x": "w"}, {"e": "c", "o": "p"})
+    (dom, cod), _, emap = forget_to_b(f)
+    (dom2, cod2), _, _ = forget_to_b(f)
+    assert dom2 is dom and cod2 is cod
+    assert dom == graph(["x"], {"e": ("x", "x")})
+    assert cod == graph(["w"], {"c": ("w", "w")})
+    assert emap == {"e": "c"}
+    (dom3, _), _, _ = forget_to_b(identity(g))
+    assert dom3 is dom

@@ -109,6 +109,32 @@ def test_lawcheck_uses_no_private_name_of_the_library():
     assert not found
 
 
+def _names_in(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_lawcheck_hom_oracles_do_not_use_classify():
+    # the brute-force hom sets check classify, so neither they nor any
+    # lawcheck function they reach, the predicates they filter with
+    # included, may call it
+    tree = ast.parse((SRC / "lawcheck.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    todo = ["enumerate_morphisms", "enumerate_premorphisms"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(n for n in _names_in(funcs[name]) if n in funcs)
+    assert "is_morphism" in reached
+    found = sorted(name for name in reached
+                   if "classify" in _names_in(funcs[name]))
+    assert not found
+
+
 _DICT_WRITES = ("update", "setdefault", "pop", "popitem", "clear")
 
 
