@@ -30,7 +30,7 @@ from .lawcheck import (
     GenBudget,
     LAWS,
     UnknownLaw,
-    check_lemma,
+    run_all,
 )
 from .matcher import MatcherError, find_matches
 from .morphism import classify
@@ -198,7 +198,7 @@ def cmd_lawcheck(args) -> int:
     budget = (_parse_budget(args.budget, args.seed) if args.budget
               else GenBudget(seed=args.seed))
     names = [args.law] if args.law else sorted(LAWS)
-    reports = [check_lemma(name, budget, args.random) for name in names]
+    reports = run_all(budget, args.random, names)
     _emit(Document("trace", {
         "operation": "lawcheck",
         "reports": [serialize.law_report_doc(r.law, r.instances,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .graph import (
@@ -416,8 +417,9 @@ def check_universal_property(span: PartitioningSpan, po: PushoutResult,
                              cospan_budget: GenBudget):
     """Exactly one mediating morphism for every commuting
     circle-compatible cospan within the budget.  Returns (cospans
-    checked, counterexample or None)."""
-    checked = 0
+    checked, commuting cospans excluded as not circle-compatible,
+    counterexample or None)."""
+    checked = excluded = 0
     for other in gen_graphs(cospan_budget):
         hom_left = enumerate_morphisms(span.left, other)
         hom_ctx = enumerate_morphisms(span.context, other)
@@ -427,6 +429,7 @@ def check_universal_property(span: PartitioningSpan, po: PushoutResult,
                 if via_left != compose(g2, span.c).key():
                     continue
                 if not _circle_compatible(po, m2, g2):
+                    excluded += 1
                     continue
                 checked += 1
                 mediating = [
@@ -437,23 +440,46 @@ def check_universal_property(span: PartitioningSpan, po: PushoutResult,
                 if len(mediating) != 1:
                     detail = (f"{len(mediating)} mediating morphisms for "
                               f"cospan {m2.key()} / {g2.key()}")
-                    return checked, detail
-    return checked, None
+                    return checked, excluded, detail
+    return checked, excluded, None
 
 
 # ---------------------------------------------------------------------------
 # instance predicates, one per law
 
+@dataclass(frozen=True)
+class MorphismPair:
+    """A composable pair f: A -> B, g: B -> C.  Unpacks as (f, g); its
+    composite g . f is built on first use and shared by every pair law
+    that reads it."""
+    f: GraphMorphism
+    g: GraphMorphism
+
+    def __iter__(self):
+        return iter((self.f, self.g))
+
+    @cached_property
+    def composite(self) -> GraphMorphism:
+        return compose(self.g, self.f)
+
+
+def _pair(inst) -> MorphismPair:
+    """The pair laws also accept a plain (f, g) tuple."""
+    return inst if isinstance(inst, MorphismPair) else MorphismPair(*inst)
+
+
 def _holds_flag_bij_composition(inst) -> bool:
-    f, g = inst
+    pair = _pair(inst)
+    f, g = pair
     if not (is_flag_bijective(f) and is_flag_bijective(g)):
         return True
-    return is_flag_bijective(compose(g, f))
+    return is_flag_bijective(pair.composite)
 
 
 def _holds_morphism_composition(inst) -> bool:
-    f, g = inst
-    h = compose(g, f)
+    pair = _pair(inst)
+    f, g = pair
+    h = pair.composite
     if not classify(h).is_morphism:
         return False
     if classify(f).is_embedding and classify(g).is_embedding:
@@ -637,8 +663,9 @@ def _holds_rot_implies_flag_surj(inst) -> bool:
 
 
 def _holds_forgetful_functoriality(inst) -> bool:
-    f, g = inst
-    _, vmap_h, emap_h = forget_to_b(compose(g, f))
+    pair = _pair(inst)
+    f, g = pair
+    _, vmap_h, emap_h = forget_to_b(pair.composite)
     _, vmap_f, emap_f = forget_to_b(f)
     _, vmap_g, emap_g = forget_to_b(g)
     vmap = {v: vmap_g[w] for v, w in vmap_f.items() if w in vmap_g}
@@ -677,7 +704,7 @@ def gen_morphism_pairs(budget: GenBudget):
                 continue
             for f in homs:
                 for g in second:
-                    yield f, g
+                    yield MorphismPair(f, g)
 
 
 def gen_rot_instances(budget: GenBudget):
@@ -711,7 +738,7 @@ def random_morphism_pair(rng: random.Random, budget: GenBudget):
     homs_out = enumerate_morphisms(mid, random_graph(rng, small))
     if not homs_in or not homs_out:
         return None
-    return rng.choice(homs_in), rng.choice(homs_out)
+    return MorphismPair(rng.choice(homs_in), rng.choice(homs_out))
 
 
 def random_rot_instance(rng: random.Random, budget: GenBudget):
@@ -815,35 +842,67 @@ def check_lemma(name: str, budget: GenBudget = DEFAULT_BUDGET,
                 exhaustive: bool = True) -> LawReport:
     """Run one law exhaustively over the budget, then over seeded-random
     instances; stops at the first counterexample."""
-    if name not in LAWS:
-        raise UnknownLaw(f"unknown law {name!r}")
-    law = LAWS[name]
-    count = 0
-    if exhaustive:
-        for inst in law.generate(budget):
-            count += 1
-            if not law.holds(inst):
-                return LawReport(name, count, law.describe(inst))
-    if random_instances:
-        rng = random.Random(budget.seed)
-        produced = 0
-        attempts = 0
-        while produced < random_instances and attempts < random_instances * 20:
-            attempts += 1
-            inst = law.generate_random(rng, budget)
-            if inst is None:
-                continue
-            produced += 1
-            count += 1
-            if not law.holds(inst):
-                return LawReport(name, count, law.describe(inst))
-    return LawReport(name, count)
+    return run_all(budget, random_instances, [name], exhaustive)[0]
 
 
 def run_all(budget: GenBudget = DEFAULT_BUDGET, random_instances: int = 0,
-            laws: Optional[Iterable[str]] = None) -> List[LawReport]:
+            laws: Optional[Iterable[str]] = None,
+            exhaustive: bool = True) -> List[LawReport]:
+    """Run the named laws (all by default), one report per name in the
+    order given.  Laws that share a generator walk its instances once;
+    each law's report is the one `check_lemma` gives for it alone."""
     names = list(laws) if laws is not None else sorted(LAWS)
-    return [check_lemma(name, budget, random_instances) for name in names]
+    for name in names:
+        if name not in LAWS:
+            raise UnknownLaw(f"unknown law {name!r}")
+    groups: Dict[tuple, List[Law]] = {}
+    for name in dict.fromkeys(names):
+        law = LAWS[name]
+        groups.setdefault((law.generate, law.generate_random),
+                          []).append(law)
+    reports: Dict[str, LawReport] = {}
+    for group in groups.values():
+        reports.update(_walk(group, budget, random_instances, exhaustive))
+    return [reports[name] for name in names]
+
+
+def _instances(law: Law, budget: GenBudget, random_instances: int,
+               exhaustive: bool) -> Iterator:
+    """The law's exhaustive instances, then up to `random_instances`
+    seeded-random ones, generated as they are asked for."""
+    if exhaustive:
+        yield from law.generate(budget)
+    rng = random.Random(budget.seed)
+    produced = 0
+    attempts = 0
+    while produced < random_instances and attempts < random_instances * 20:
+        attempts += 1
+        inst = law.generate_random(rng, budget)
+        if inst is not None:
+            produced += 1
+            yield inst
+
+
+def _walk(laws: List[Law], budget: GenBudget, random_instances: int,
+          exhaustive: bool) -> Dict[str, LawReport]:
+    """One walk over the instances of the laws' shared generators.  Each
+    instance goes to every law that has not failed yet; a law stops at
+    its first counterexample, and the walk when every law has stopped."""
+    reports: Dict[str, LawReport] = {}
+    open_laws = list(laws)
+    count = 0
+    for inst in _instances(laws[0], budget, random_instances, exhaustive):
+        count += 1
+        for law in list(open_laws):
+            if not law.holds(inst):
+                reports[law.name] = LawReport(law.name, count,
+                                              law.describe(inst))
+                open_laws.remove(law)
+        if not open_laws:
+            break
+    for law in open_laws:
+        reports[law.name] = LawReport(law.name, count)
+    return reports
 
 
 # ---------------------------------------------------------------------------

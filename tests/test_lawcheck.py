@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -15,19 +16,24 @@ from dpoembed import (
     morphism,
     pushout,
 )
+from dpoembed import lawcheck
 from dpoembed.lawcheck import (
     LAWS,
     GenBudget,
+    Law,
     UnknownLaw,
+    _describe_pair,
     _enumerate_maps,
     _holds_self_loop_creation,
     check_lemma,
     check_universal_property,
     gen_boundary_embeddings,
     gen_graphs,
+    gen_morphism_pairs,
     gen_spans,
     is_morphism,
     is_premorphism,
+    random_morphism_pair,
     run_all,
 )
 
@@ -106,24 +112,114 @@ def test_reports_are_deterministic():
         [(r.law, r.instances, r.counterexample) for r in b]
 
 
+def _triples(reports):
+    return [(r.law, r.instances, r.counterexample) for r in reports]
+
+
+@pytest.mark.parametrize("budget,random_instances", [
+    (SMALL, 5),
+    (GenBudget(2, 1, 1, 2, seed=1), 100),
+    (GenBudget(2, 1, 1, 2, seed=2), 100),
+], ids=["small", "suite-seed-1", "suite-seed-2"])
+def test_run_all_equals_each_law_alone(budget, random_instances):
+    # laws that share a generator walk it once, and each law's report is
+    # still the one it gets when it runs alone
+    alone = [check_lemma(name, budget, random_instances)
+             for name in sorted(LAWS)]
+    assert _triples(run_all(budget, random_instances)) == _triples(alone)
+
+
+PAIRS = GenBudget(max_vertices=1, max_edges=1, max_circles=1)
+PAIR_LAWS = ["FlagBijComposition", "ForgetfulFunctoriality",
+             "MorphismComposition"]
+
+
+def _fails_at(k, calls):
+    """A law on the morphism-pair generators whose k-th instance fails;
+    `calls` counts the instances it is given."""
+    def holds(inst):
+        calls.append(inst)
+        return len(calls) != k
+    return Law("FailsAt", gen_morphism_pairs, random_morphism_pair, holds,
+               _describe_pair)
+
+
+def _run_with_failing_law(monkeypatch, k, laws):
+    calls = []
+    monkeypatch.setitem(LAWS, "FailsAt", _fails_at(k, calls))
+    return {r.law: r for r in run_all(PAIRS, 5, laws)}, calls
+
+
+@pytest.mark.parametrize("phase", ["exhaustive", "random"])
+def test_a_failing_law_stops_alone(monkeypatch, phase):
+    exhaustive = len(list(gen_morphism_pairs(PAIRS)))
+    k = 4 if phase == "exhaustive" else exhaustive + 3
+    together, calls = _run_with_failing_law(monkeypatch, k,
+                                            ["FailsAt"] + PAIR_LAWS)
+    assert len(calls) == k
+    alone, _ = _run_with_failing_law(monkeypatch, k, ["FailsAt"])
+    failed = together["FailsAt"]
+    assert (failed.instances, failed.counterexample) == \
+        (k, _describe_pair(calls[-1]))
+    assert (alone["FailsAt"].instances,
+            alone["FailsAt"].counterexample) == \
+        (failed.instances, failed.counterexample)
+    if phase == "exhaustive":
+        first = next(itertools.islice(gen_morphism_pairs(PAIRS), k - 1, None))
+        assert failed.counterexample == _describe_pair(first)
+    for name in PAIR_LAWS:
+        assert together[name].ok
+        assert together[name].instances == exhaustive + 5
+        assert _triples([together[name]]) == \
+            _triples([check_lemma(name, PAIRS, 5)])
+
+
+def test_an_exhaustive_failure_gets_no_random_instances(monkeypatch):
+    # its siblings go on into the random phase; it is given nothing more
+    reports, calls = _run_with_failing_law(monkeypatch, 1,
+                                           ["FailsAt"] + PAIR_LAWS)
+    assert reports["FailsAt"].instances == len(calls) == 1
+    exhaustive = len(list(gen_morphism_pairs(PAIRS)))
+    assert {reports[name].instances for name in PAIR_LAWS} == \
+        {exhaustive + 5}
+
+
+def test_pair_laws_compose_each_pair_once(monkeypatch):
+    # the three pair laws read one composite per pair, built on first use
+    compose, calls = lawcheck.compose, [0]
+
+    def counted(g, f):
+        calls[0] += 1
+        return compose(g, f)
+
+    monkeypatch.setattr(lawcheck, "compose", counted)
+    reports = run_all(SMALL, laws=PAIR_LAWS)
+    assert all(r.ok for r in reports)
+    assert {r.instances for r in reports} == {calls[0]}
+
+
 def test_universal_property_on_two_cycle(two_edge_boundary, loop_left):
     left, l = loop_left
     ctx = graph(["w"], {"c": ("w", "w")})
     c = morphism(two_edge_boundary.graph, ctx, {"dbd": "w"},
                  {"e1": "c", "e2": "c"})
     span = PartitioningSpan(two_edge_boundary, left, ctx, l, c)
-    checked, counterexample = check_universal_property(
+    checked, excluded, counterexample = check_universal_property(
         span, pushout(span), GenBudget(max_vertices=2, max_edges=2,
                                        max_circles=1))
     assert checked > 0
+    # the pushout is a circle, and a cospan may send both loops onto one
+    # edge: such cospans commute but are excluded
+    assert excluded > 0
     assert counterexample is None
 
 
 def test_universal_property_on_two_region(two_region_span):
-    checked, counterexample = check_universal_property(
+    checked, excluded, counterexample = check_universal_property(
         two_region_span, pushout(two_region_span),
         GenBudget(max_vertices=2, max_edges=2, max_circles=1))
     assert checked > 0
+    assert excluded == 0  # a pushout without circles excludes nothing
     assert counterexample is None
 
 
