@@ -189,6 +189,8 @@ def _parse_budget(text: str, seed: int) -> GenBudget:
         nums = [int(p) for p in parts]
     except ValueError as exc:
         raise CliFailure(f"bad budget: {text!r}") from exc
+    if min(nums) < 0:
+        raise CliFailure(f"bad budget: {text!r}")
     if len(nums) == 3:
         nums.append(DEFAULT_BUDGET.max_boundary_edges)
     return GenBudget(*nums, seed=seed)

@@ -2,12 +2,11 @@
 against generated instances.
 
 Instance generation is exhaustive up to a budget and seeded-random
-beyond it.  The morphism oracle here enumerates partial vertex tables
-times total arc tables and filters with `is_morphism` or
-`is_premorphism`, written from the definitions; no cleverness and no
-code shared with `morphism`, by design, so it stays an independent
-check on the constructive code paths.  Every counterexample is
-reported as a replayable serialized fixture.
+beyond it.  Hom sets come from the naive definitions in `oracle`,
+filtered once per pair of graphs and cached here, so that the laws
+check the constructive code paths against code they share nothing
+with.  Every counterexample is reported as a replayable serialized
+fixture.
 """
 
 from __future__ import annotations
@@ -16,17 +15,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .graph import (
-    SRC,
-    TGT,
-    Flag,
-    Graph,
-    UnknownVertex,
-    graph,
-    is_connected,
-)
+from .graph import Graph, graph, is_connected
 from .morphism import (
     GraphMorphism,
     classify,
@@ -43,7 +34,6 @@ from .boundary import (
     POS,
     BoundaryEmbedding,
     BoundaryGraph,
-    PairingGraph,
     PartitioningSpan,
     arc_classes,
     enumerate_re_pairings,
@@ -51,15 +41,18 @@ from .boundary import (
     solve_re_pairing,
     validate_span,
 )
-from .dpo import (
-    PushoutResult,
-    RewriteRule,
-    iso_check,
-    pushout,
-    pushout_complement,
+from .dpo import PushoutResult, iso_check, pushout, pushout_complement
+from .oracle import (
+    all_rotations,
+    enumerate_maps,
+    graph_key,
+    is_cycle_component,
+    is_morphism,
+    is_premorphism,
+    pairing_components,
+    scan_flags,
 )
-from .matcher import check_match
-from .rotation import RotationSystem, check_rot_morphism, rotation_system
+from .rotation import check_rot_morphism
 from . import serialize
 
 
@@ -125,123 +118,31 @@ def random_graph(rng: random.Random, budget: GenBudget) -> Graph:
     return graph(vs, edges, [f"o{i}" for i in range(no)])
 
 
-def graph_key(g: Graph):
-    return (tuple(sorted(g.vertices)),
-            tuple(sorted(g.edges.items())),
-            tuple(sorted(g.circles)))
-
-
 # ---------------------------------------------------------------------------
-# the morphism oracle
+# hom sets, by brute force and cached per pair of graphs
 
 _HOM_CACHE: Dict[tuple, List[GraphMorphism]] = {}
 _PRE_CACHE: Dict[tuple, List[GraphMorphism]] = {}
 
 
-def _enumerate_maps(dom: Graph, cod: Graph) -> Iterator[GraphMorphism]:
-    dom_v = sorted(dom.vertices)
-    dom_arcs = dom.arcs()
-    cod_arcs = cod.arcs()
-    vertex_choices = [[None] + sorted(cod.vertices) for _ in dom_v]
-    for vassign in itertools.product(*vertex_choices):
-        vmap = {v: w for v, w in zip(dom_v, vassign) if w is not None}
-        for aassign in itertools.product(cod_arcs, repeat=len(dom_arcs)):
-            yield morphism(dom, cod, vmap, dict(zip(dom_arcs, aassign)))
-
-
-def is_morphism(f: GraphMorphism) -> bool:
-    """Whether the map data forms a morphism, from the definitions: the
-    arc map is total on the domain's arcs and lands on arcs, circles go
-    to circles, the vertex map is a partial map between the vertex
-    sets, and at every defined vertex v each edge end at v goes to an
-    edge end at f(v), with every edge end at f(v) hit.  Stops at the
-    first failure; independent of `classify`, which it checks."""
-    return _conditions_hold(f, flag_surjective=True)
-
-
-def is_premorphism(f: GraphMorphism) -> bool:
-    """Whether the map data meets every condition of `is_morphism`
-    except, possibly, that every edge end at f(v) is hit."""
-    return _conditions_hold(f, flag_surjective=False)
-
-
-def _conditions_hold(f: GraphMorphism, flag_surjective: bool) -> bool:
-    dom, cod = f.dom, f.cod
-    if set(f.amap) != set(dom.edges) | dom.circles:
-        return False
-    for a, img in f.amap.items():
-        if img not in cod.edges and img not in cod.circles:
-            return False
-        if a in dom.circles and img not in cod.circles:
-            return False
-    for v, w in f.vmap.items():
-        if v not in dom.vertices or w not in cod.vertices:
-            return False
-        hit = set()
-        for e, (s, t) in dom.edges.items():
-            for end, x, i in ((SRC, s, 0), (TGT, t, 1)):
-                if x != v:
-                    continue
-                img = f.amap[e]
-                if img not in cod.edges or cod.edges[img][i] != w:
-                    return False
-                hit.add(Flag(img, end))
-        if flag_surjective and not _scan_flags(cod, w) <= hit:
-            return False
-    return True
+def _homs(cache: Dict[tuple, List[GraphMorphism]],
+          pred: Callable[[GraphMorphism], bool],
+          dom: Graph, cod: Graph) -> List[GraphMorphism]:
+    key = (graph_key(dom), graph_key(cod))
+    if key not in cache:
+        cache[key] = [f for f in enumerate_maps(dom, cod) if pred(f)]
+    return cache[key]
 
 
 def enumerate_morphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     """All morphisms dom -> cod, by brute force over map tables."""
-    key = (graph_key(dom), graph_key(cod))
-    if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = [f for f in _enumerate_maps(dom, cod)
-                           if is_morphism(f)]
-    return _HOM_CACHE[key]
+    return _homs(_HOM_CACHE, is_morphism, dom, cod)
 
 
 def enumerate_premorphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     """Maps satisfying every morphism condition except, possibly, flag
     surjectivity.  Used to test laws about that condition itself."""
-    key = (graph_key(dom), graph_key(cod))
-    if key not in _PRE_CACHE:
-        _PRE_CACHE[key] = [f for f in _enumerate_maps(dom, cod)
-                           if is_premorphism(f)]
-    return _PRE_CACHE[key]
-
-
-def _scan_flags(g: Graph, v: str) -> frozenset:
-    """The flags at v by a scan of every edge.
-
-    Deliberately independent of `Graph.incidence`, which the laws check.
-    """
-    if v not in g.vertices:
-        raise UnknownVertex(v)
-    out = set()
-    for e, (s, t) in g.edges.items():
-        if s == v:
-            out.add(Flag(e, SRC))
-        if t == v:
-            out.add(Flag(e, TGT))
-    return frozenset(out)
-
-
-def all_rotations(g: Graph) -> List[RotationSystem]:
-    """Every rotation system of g: independent cyclic orders per vertex."""
-    per_vertex = []
-    vs = g.sorted_vertices()
-    for v in vs:
-        fls = sorted(_scan_flags(g, v))
-        if not fls:
-            per_vertex.append([()])
-            continue
-        first, rest = fls[0], fls[1:]
-        per_vertex.append(
-            [(first,) + perm for perm in itertools.permutations(rest)])
-    return [
-        rotation_system(g, dict(zip(vs, combo)))
-        for combo in itertools.product(*per_vertex)
-    ]
+    return _homs(_PRE_CACHE, is_premorphism, dom, cod)
 
 
 # ---------------------------------------------------------------------------
@@ -463,26 +364,17 @@ class MorphismPair:
         return compose(self.g, self.f)
 
 
-def _pair(inst) -> MorphismPair:
-    """The pair laws also accept a plain (f, g) tuple."""
-    return inst if isinstance(inst, MorphismPair) else MorphismPair(*inst)
-
-
-def _holds_flag_bij_composition(inst) -> bool:
-    pair = _pair(inst)
-    f, g = pair
-    if not (is_flag_bijective(f) and is_flag_bijective(g)):
+def _holds_flag_bij_composition(inst: MorphismPair) -> bool:
+    if not (is_flag_bijective(inst.f) and is_flag_bijective(inst.g)):
         return True
-    return is_flag_bijective(pair.composite)
+    return is_flag_bijective(inst.composite)
 
 
-def _holds_morphism_composition(inst) -> bool:
-    pair = _pair(inst)
-    f, g = pair
-    h = pair.composite
+def _holds_morphism_composition(inst: MorphismPair) -> bool:
+    h = inst.composite
     if not classify(h).is_morphism:
         return False
-    if classify(f).is_embedding and classify(g).is_embedding:
+    if classify(inst.f).is_embedding and classify(inst.g).is_embedding:
         return classify(h).is_embedding
     return True
 
@@ -492,8 +384,8 @@ def _holds_degree_preservation(f: GraphMorphism) -> bool:
         return True
     fm = flag_map(f)
     for v in f.vmap:
-        at_v = _scan_flags(f.dom, v)
-        at_image = _scan_flags(f.cod, f.vmap[v])
+        at_v = scan_flags(f.dom, v)
+        at_image = scan_flags(f.cod, f.vmap[v])
         if len(at_v) != len(at_image):
             return False
         image = {fm[fl] for fl in at_v if fl in fm}
@@ -509,7 +401,7 @@ def _holds_almost_vertex_injective(f: GraphMorphism) -> bool:
     for v, w in f.vmap.items():
         by_image.setdefault(w, []).append(v)
     for vs in by_image.values():
-        if len(vs) > 1 and any(_scan_flags(f.dom, v) for v in vs):
+        if len(vs) > 1 and any(scan_flags(f.dom, v) for v in vs):
             return False
     return True
 
@@ -532,37 +424,6 @@ def _holds_self_loop_creation(span: PartitioningSpan) -> bool:
             if span.b.polarity(members[0]) == span.b.polarity(members[1]):
                 return False
     return True
-
-
-def pairing_components(p: PairingGraph) -> List[Tuple[str, ...]]:
-    """The connected components of a pairing graph, each a sorted node
-    tuple, by a search over its blue and red pairs."""
-    near: Dict[str, set] = {n: set() for n in p.nodes}
-    for a, b in itertools.chain(p.blue, p.red):
-        near[a].add(b)
-        near[b].add(a)
-    comps, seen = [], set()
-    for start in p.nodes:
-        if start in seen:
-            continue
-        comp, frontier = {start}, [start]
-        while frontier:
-            new = near[frontier.pop()] - comp
-            comp |= new
-            frontier.extend(new)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
-
-
-def is_cycle_component(p: PairingGraph, comp: Tuple[str, ...]) -> bool:
-    """A component is a cycle when every node in it has degree 2."""
-    deg = dict.fromkeys(comp, 0)
-    for pair in itertools.chain(p.blue, p.red):
-        for n in pair:
-            if n in deg:
-                deg[n] += 1
-    return bool(comp) and all(d == 2 for d in deg.values())
 
 
 def _holds_pairing_paths_or_cycles(span: PartitioningSpan) -> bool:
@@ -662,12 +523,11 @@ def _holds_rot_implies_flag_surj(inst) -> bool:
     return is_flag_surjective(f)
 
 
-def _holds_forgetful_functoriality(inst) -> bool:
-    pair = _pair(inst)
-    f, g = pair
-    _, vmap_h, emap_h = forget_to_b(pair.composite)
+def _holds_forgetful_functoriality(inst: MorphismPair) -> bool:
+    f = inst.f
+    _, vmap_h, emap_h = forget_to_b(inst.composite)
     _, vmap_f, emap_f = forget_to_b(f)
-    _, vmap_g, emap_g = forget_to_b(g)
+    _, vmap_g, emap_g = forget_to_b(inst.g)
     vmap = {v: vmap_g[w] for v, w in vmap_f.items() if w in vmap_g}
     emap = {e: emap_g[x] for e, x in emap_f.items() if x in emap_g}
     if (vmap, emap) != (vmap_h, emap_h):
@@ -904,14 +764,3 @@ def _walk(laws: List[Law], budget: GenBudget, random_instances: int,
         reports[law.name] = LawReport(law.name, count)
     return reports
 
-
-# ---------------------------------------------------------------------------
-# matcher oracle
-
-def brute_force_matches(rule: RewriteRule, host: Graph):
-    """All valid matches by enumerating every map from L to the host."""
-    out = [BoundaryEmbedding(rule.b, rule.left, host, rule.l, f)
-           for f in _enumerate_maps(rule.left, host)
-           if not check_match(rule, host, f)]
-    out.sort(key=lambda be: be.m.key())
-    return out

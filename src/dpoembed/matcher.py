@@ -13,9 +13,10 @@ forces, the one at its cyclic offset from the vertex's first flag given
 rotations, or any; mapping a new edge places its far endpoint.
 Self-loops at the boundary image take any host arc.
 The rule is validated once per search.  A completed walk is an
-embedding by construction, so no candidate is classified: `check_match`
-is the full naive check of one candidate, and lawcheck's brute-force
-oracle uses it to check the search for soundness and completeness.
+embedding by construction, so no candidate is classified.
+`check_match` is the full check of one candidate, built from the
+validators; the brute-force oracle in `oracle` checks the search for
+soundness and completeness with its own naive match predicate.
 """
 
 from __future__ import annotations

@@ -34,10 +34,9 @@ from dpoembed.boundary import (
 from dpoembed.lawcheck import (
     GenBudget,
     gen_boundary_embeddings,
-    is_cycle_component,
-    pairing_components,
     random_boundary_embedding,
 )
+from dpoembed.oracle import is_cycle_component, pairing_components
 
 from conftest import bouquet_embedding
 

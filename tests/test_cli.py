@@ -376,10 +376,15 @@ def test_lawcheck_unknown_law_is_named(capsys):
     assert err == "error: unknown law 'NoSuch'\n"
 
 
-def test_lawcheck_bad_budget(capsys):
-    code, _, err = run(capsys, "lawcheck", "--budget", "zap")
+@pytest.mark.parametrize("text", ["zap", "2,-1,1", "-1,1,1", "2,1,-1",
+                                  "2,1,1,-1"])
+def test_lawcheck_bad_budget(capsys, text):
+    # a negative field would reach the generators' random ranges
+    code, _, err = run(capsys, "lawcheck", f"--budget={text}", "--random", "3")
     assert code == 1
     assert "budget" in err
+    if "-" in text:
+        assert err == f"error: bad budget: {text!r}\n"
 
 
 @pytest.mark.parametrize("name", [

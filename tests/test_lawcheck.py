@@ -23,7 +23,6 @@ from dpoembed.lawcheck import (
     Law,
     UnknownLaw,
     _describe_pair,
-    _enumerate_maps,
     _holds_self_loop_creation,
     check_lemma,
     check_universal_property,
@@ -31,10 +30,14 @@ from dpoembed.lawcheck import (
     gen_graphs,
     gen_morphism_pairs,
     gen_spans,
-    is_morphism,
-    is_premorphism,
     random_morphism_pair,
     run_all,
+)
+from dpoembed.oracle import (
+    enumerate_maps,
+    is_embedding,
+    is_morphism,
+    is_premorphism,
 )
 
 from conftest import bouquet_embedding
@@ -243,7 +246,7 @@ def test_self_loop_predicate_is_falsifiable():
 def test_brute_force_matcher_on_degenerate_rule(two_edge_boundary,
                                                 mixed_host):
     from dpoembed import RewriteRule
-    from dpoembed.lawcheck import brute_force_matches
+    from dpoembed.oracle import brute_force_matches
     left = graph(["vb"])
     l = morphism(two_edge_boundary.graph, left, {"bnd": "vb"}, {})
     rule = RewriteRule(two_edge_boundary, left, left, l, l)
@@ -254,20 +257,23 @@ def test_is_morphism_agrees_with_classify_on_every_small_map():
     # the oracles' filters are written from the definitions and share no
     # code with classify; over every map table between the pair laws'
     # graphs, invalid maps included, they must agree with it: a
-    # premorphism meets every morphism condition but flag surjectivity
+    # premorphism meets every morphism condition but flag surjectivity,
+    # and an embedding is a morphism injective on vertices, circles and
+    # flags
     graphs = list(gen_graphs(GenBudget(max_vertices=2, max_edges=2,
                                        max_circles=1)))
     kinds, premorphisms, disagree = Counter(), 0, []
     for dom in graphs:
         for cod in graphs:
-            for f in _enumerate_maps(dom, cod):
+            for f in enumerate_maps(dom, cod):
                 cls = classify(f)
                 kinds[cls.kind] += 1
                 pre = (cls.is_morphism
                        or set(cls.codes()) <= {"NotFlagSurjective"})
                 premorphisms += pre and not cls.is_morphism
                 if (is_morphism(f) != cls.is_morphism
-                        or is_premorphism(f) != pre):
+                        or is_premorphism(f) != pre
+                        or is_embedding(f) != cls.is_embedding):
                     disagree.append(f)
     assert not disagree, disagree[0]
     assert sum(kinds.values()) == 62927

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,13 @@ from dpoembed import (
     validate_rule,
 )
 from dpoembed.boundary import BoundaryGraph
-from dpoembed.lawcheck import all_rotations, brute_force_matches
+from dpoembed.oracle import (
+    all_rotations,
+    brute_force_matches,
+    enumerate_maps,
+    is_match,
+    is_valid_rule,
+)
 from dpoembed.matcher import MAX_MATCHES, LNotConnected, MatchLimitExceeded
 from dpoembed.morphism import classify
 
@@ -227,6 +234,47 @@ def test_invalid_rule_has_no_matches(mixed_host, index):
     rule = _invalid_rules()[index]
     assert find_matches(rule, mixed_host) == []
     assert brute_force_matches(rule, mixed_host) == []
+
+
+def _host_shapes():
+    """A few hosts in the range of `small_hosts`."""
+    return [
+        graph(),
+        graph([], {}, ["o0"]),
+        _spoked_host(),
+        graph(["h0", "h1"], {"g0": ("h0", "h1"), "g1": ("h1", "h0"),
+                             "g2": ("h0", "h1")}),
+        graph(["h0", "h1", "h2"],
+              {"g0": ("h0", "h1"), "g1": ("h1", "h2"), "g2": ("h2", "h0"),
+               "g3": ("h1", "h1")}, ["o0"]),
+    ]
+
+
+def test_match_oracle_agrees_with_check_match(misdirected_rules,
+                                              mixed_host):
+    # the oracle's rule and match predicates are written from the
+    # definitions and share no code with check_match; over every map
+    # table from L, invalid maps and invalid rules included, they must
+    # agree with it
+    b = _boundary()
+    point = graph(["vb"])
+    degenerate = morphism(b.graph, point, {"bnd": "vb"}, {})
+    split = graph(["vb", "z"], {"a": ("vb", "vb")})
+    to_split = morphism(b.graph, split, {"bnd": "vb"}, {"e1": "a", "e2": "a"})
+    rules = [_loop_rule(), _path_rule(), _spoked_rule(b), *_invalid_rules(),
+             *(rule for rule, _ in misdirected_rules),
+             RewriteRule(b, point, point, degenerate, degenerate),
+             RewriteRule(b, split, split, to_split, to_split)]
+    valid = [is_valid_rule(rule) for rule in rules]
+    assert valid == [True] * 3 + [False] * 6 + [True]
+    verdicts = Counter()
+    for rule, ok in zip(rules, valid):
+        for host in [mixed_host, *_host_shapes()]:
+            for m in enumerate_maps(rule.left, host):
+                expected = check_match(rule, host, m) == []
+                assert (ok and is_match(rule, host, m)) == expected, m
+                verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @st.composite

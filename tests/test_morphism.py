@@ -17,7 +17,7 @@ from dpoembed import (
     morphism,
 )
 from dpoembed.graph import Flag
-from dpoembed.lawcheck import LAWS
+from dpoembed.lawcheck import LAWS, MorphismPair
 from dpoembed.morphism import DomainMismatch, forget_to_b
 
 LOOP = graph(["v"], {"a": ("v", "v")})
@@ -159,7 +159,8 @@ def test_composition_law_builds_each_flag_table_once(monkeypatch):
 
     monkeypatch.setattr(module, "_flag_table", counted)
     g = graph(["x", "y"], {"e": ("x", "y"), "l": ("y", "y")}, ["o"])
-    assert LAWS["MorphismComposition"].holds((identity(g), identity(g)))
+    assert LAWS["MorphismComposition"].holds(
+        MorphismPair(identity(g), identity(g)))
     assert sorted(builds.values()) == [1, 1, 1]
 
 

@@ -91,21 +91,54 @@ def test_every_definition_is_referenced():
 def test_lawcheck_uses_no_private_name_of_the_library():
     # the law suite and its oracles check the constructive code, so they
     # may call only its public API
-    tree = ast.parse((SRC / "lawcheck.py").read_text())
-    modules, found = set(), []
+    found = []
+    for name in ("lawcheck.py", "oracle.py"):
+        tree = ast.parse((SRC / name).read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("dpoembed")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{name}:{node.lineno}: {alias.name}")
+                    if not node.module or node.module == "dpoembed":
+                        modules.add(alias.asname or alias.name)
+        found += [f"{name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert not found
+
+
+# The oracles may build and read the library's objects, nothing more.
+_ORACLE_IMPORTS = {
+    "graph": {"Flag", "Graph", "SRC", "TGT", "UnknownVertex", "graph"},
+    "morphism": {"GraphMorphism", "morphism"},
+    "boundary": {"BoundaryEmbedding", "BoundaryGraph", "PairingGraph",
+                 "PartitioningSpan", "POS", "NEG"},
+    "rotation": {"RotationSystem", "rotation_system"},
+    "dpo": {"RewriteRule"},
+}
+
+
+def test_oracle_imports_only_data_types():
+    # the naive definitions check the constructive code, so they import
+    # only the data types and plain constructors, each from the module
+    # that defines it, and no validator, classifier or search
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("dpoembed")):
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    found.append(f"{node.lineno}: {alias.name}")
-                if not node.module or node.module == "dpoembed":
-                    modules.add(alias.asname or alias.name)
-    found += [f"{node.lineno}: {node.value.id}.{node.attr}"
-              for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-              and isinstance(node.value, ast.Name)
-              and node.value.id in modules]
+            module = (node.module or "").split(".")[-1]
+            allowed = _ORACLE_IMPORTS.get(module, set())
+            found += [f"{node.lineno}: {module}.{alias.name}"
+                      for alias in node.names if alias.name not in allowed]
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "dpoembed"]
     assert not found
 
 
@@ -116,10 +149,11 @@ def _names_in(node):
 
 def test_lawcheck_hom_oracles_do_not_use_classify():
     # the brute-force hom sets check classify, so neither they nor any
-    # lawcheck function they reach, the predicates they filter with
-    # included, may call it
-    tree = ast.parse((SRC / "lawcheck.py").read_text())
-    funcs = {node.name: node for node in tree.body
+    # lawcheck or oracle function they reach, the predicates they filter
+    # with included, may call it
+    funcs = {node.name: node
+             for name in ("lawcheck.py", "oracle.py")
+             for node in ast.parse((SRC / name).read_text()).body
              if isinstance(node, ast.FunctionDef)}
     todo = ["enumerate_morphisms", "enumerate_premorphisms"]
     reached = set()
