@@ -196,6 +196,18 @@ def _parse_budget(text: str, seed: int) -> GenBudget:
     return GenBudget(*nums, seed=seed)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def cmd_lawcheck(args) -> int:
     budget = (_parse_budget(args.budget, args.seed) if args.budget
               else GenBudget(seed=args.seed))
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", default=None, metavar="NAME")
     p.add_argument("--budget", default=None, metavar="V,E,O[,B]")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", type=_count, default=0, metavar="N",
                    help="extra seeded-random instances per law")
     p.set_defaults(fn=cmd_lawcheck)
 

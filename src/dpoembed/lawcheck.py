@@ -145,6 +145,28 @@ def enumerate_premorphisms(dom: Graph, cod: Graph) -> List[GraphMorphism]:
     return _homs(_PRE_CACHE, is_premorphism, dom, cod)
 
 
+# The pair laws' composites, interned by value: a morphism's map tables
+# are sorted when it is built, so equal composites over the same two
+# graph objects have one key.  The identities that
+# `ForgetfulFunctoriality` reads are kept per graph object.  Each entry
+# of either table holds its morphism and so its graphs, whose ids
+# therefore stay unique while the entry lives.
+_COMPOSITES: Dict[tuple, GraphMorphism] = {}
+_IDENTITIES: Dict[int, GraphMorphism] = {}
+
+
+def _intern(h: GraphMorphism) -> GraphMorphism:
+    key = (id(h.dom), id(h.cod), tuple(h.vmap.items()),
+           tuple(h.amap.items()))
+    return _COMPOSITES.setdefault(key, h)
+
+
+def _identity(g: Graph) -> GraphMorphism:
+    if id(g) not in _IDENTITIES:
+        _IDENTITIES[id(g)] = identity(g)
+    return _IDENTITIES[id(g)]
+
+
 # ---------------------------------------------------------------------------
 # span and boundary-embedding generation
 
@@ -352,7 +374,10 @@ def check_universal_property(span: PartitioningSpan, po: PushoutResult,
 class MorphismPair:
     """A composable pair f: A -> B, g: B -> C.  Unpacks as (f, g); its
     composite g . f is built on first use and shared by every pair law
-    that reads it."""
+    that reads it.  The composite handed out is the interned morphism
+    equal to it, so its classification, flag map and image under
+    `forget_to_b` are derived once per distinct composite, not once
+    per pair."""
     f: GraphMorphism
     g: GraphMorphism
 
@@ -361,7 +386,7 @@ class MorphismPair:
 
     @cached_property
     def composite(self) -> GraphMorphism:
-        return compose(self.g, self.f)
+        return _intern(compose(self.g, self.f))
 
 
 def _holds_flag_bij_composition(inst: MorphismPair) -> bool:
@@ -532,7 +557,7 @@ def _holds_forgetful_functoriality(inst: MorphismPair) -> bool:
     emap = {e: emap_g[x] for e, x in emap_f.items() if x in emap_g}
     if (vmap, emap) != (vmap_h, emap_h):
         return False
-    _, vid, eid = forget_to_b(identity(f.dom))
+    _, vid, eid = forget_to_b(_identity(f.dom))
     return (vid == {v: v for v in f.dom.vertices}
             and eid == {e: e for e in f.dom.edges})
 

@@ -36,8 +36,8 @@ class GraphMorphism:
     `vmap` or `amap` once `morphism` has built them.  The flag map, the
     flag-surjectivity failures and the classification are derived from
     them on first use and kept on this instance, as `Graph.incidence`
-    is; they are not dataclass fields, so equality, repr and
-    serialization do not see them.
+    is, and so is its image under `forget_to_b`; they are not dataclass
+    fields, so equality, repr and serialization do not see them.
     """
 
     dom: Graph
@@ -65,6 +65,10 @@ class GraphMorphism:
     @cached_property
     def _class(self):
         return _classify(self)
+
+    @cached_property
+    def _forgotten(self):
+        return _forget(self)
 
 
 def morphism(dom: Graph, cod: Graph, vmap=None, amap=None) -> GraphMorphism:
@@ -94,10 +98,11 @@ class MorphismClass:
 
 
 def _flag_table(f: GraphMorphism):
-    """The flag map, read-only, and the lax-naturality violations of the
-    source/target maps against the arc map, built together in one walk
-    over the domain's sorted edges.  The map's keys come out in flag
-    order: edges in id order, each with its source end first."""
+    """The flag map, read-only, the lax-naturality violations of the
+    source/target maps against the arc map, and whether the map is
+    injective, built together in one walk over the domain's sorted
+    edges.  The map's keys come out in flag order: edges in id order,
+    each with its source end first."""
     fm: Dict[Flag, Flag] = {}
     lax = []
     vmap, cod_edges = f.vmap, f.cod.edges
@@ -118,7 +123,8 @@ def _flag_table(f: GraphMorphism):
             fm[Flag(e, end)] = Flag(img, end)
             if w != fv:
                 lax.append(("LaxNaturalityBroken", f"edge {e}.{end}: {w} != {fv}"))
-    return MappingProxyType(fm), tuple(lax)
+    injective = len(set(fm.values())) == len(fm)
+    return MappingProxyType(fm), tuple(lax), injective
 
 
 def flag_map(f: GraphMorphism) -> Mapping[Flag, Flag]:
@@ -132,8 +138,7 @@ def flag_map(f: GraphMorphism) -> Mapping[Flag, Flag]:
 
 
 def is_flag_injective(f: GraphMorphism) -> bool:
-    fm = flag_map(f)
-    return len(set(fm.values())) == len(fm)
+    return f._flags[2]
 
 
 def is_flag_surjective(f: GraphMorphism) -> bool:
@@ -190,7 +195,7 @@ def _classify(f: GraphMorphism) -> MorphismClass:
         if img is not None and img in cod.edges:
             violations.append(("CircleToEdge", f"circle {o} maps to edge {img}"))
 
-    fm, lax = f._flags
+    fm, lax, _ = f._flags
     violations.extend(lax)
     for v, missing in f._uncovered:
         violations.append(("NotFlagSurjective",
@@ -238,8 +243,14 @@ def forget_to_b(f: GraphMorphism):
     """Drop circles and circle-valued components, landing in the category
     of partial graphs and flag maps.
 
-    Returns ((dom graph, cod graph), vmap, edge-only map).
+    Returns ((dom graph, cod graph), vmap, edge-only map), the two maps
+    as read-only views.  The result is built on the first call and kept
+    on the morphism, so every call hands out the same object.
     """
+    return f._forgotten
+
+
+def _forget(f: GraphMorphism):
     dom = f.dom.without_circles if f.dom.circles else f.dom
     cod = f.cod.without_circles if f.cod.circles else f.cod
     emap = {
@@ -247,4 +258,5 @@ def forget_to_b(f: GraphMorphism):
         for e, img in f.amap.items()
         if f.dom.is_edge(e) and f.cod.is_edge(img)
     }
-    return (dom, cod), dict(f.vmap), dict(sorted(emap.items()))
+    return ((dom, cod), MappingProxyType(dict(f.vmap)),
+            MappingProxyType(dict(sorted(emap.items()))))

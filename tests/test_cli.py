@@ -387,6 +387,21 @@ def test_lawcheck_bad_budget(capsys, text):
         assert err == f"error: bad budget: {text!r}\n"
 
 
+@pytest.mark.parametrize("argv", [["--random", "-5"], ["--random=-1"],
+                                  ["--budget", "1,1,0", "--random", "-5"]],
+                         ids=["space", "equals", "with-budget"])
+def test_lawcheck_negative_random_is_a_usage_error(capsys, argv):
+    # a negative count used to run no random instances and exit 0
+    with pytest.raises(SystemExit) as err:
+        main(["lawcheck", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    text = argv[-1].split("=")[-1]
+    assert ("error: argument --random: expected a non-negative integer, "
+            f"got {text!r}\n") in captured.err
+
+
 @pytest.mark.parametrize("name", [
     "graph_host_mixed.json",
     "rotation_bouquet_nested.json",

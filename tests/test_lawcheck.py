@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from dpoembed import (
     BoundaryGraph,
     PartitioningSpan,
     classify,
+    compose,
     enumerate_re_pairings,
     graph,
     morphism,
@@ -21,6 +23,7 @@ from dpoembed.lawcheck import (
     LAWS,
     GenBudget,
     Law,
+    MorphismPair,
     UnknownLaw,
     _describe_pair,
     _holds_self_loop_creation,
@@ -201,6 +204,67 @@ def test_pair_laws_compose_each_pair_once(monkeypatch):
     assert {r.instances for r in reports} == {calls[0]}
 
 
+def test_interned_composites_equal_the_fresh_ones():
+    # a pair hands out the interned composite equal to its own; interning
+    # must never give it another morphism's derived values
+    rng = random.Random(3)
+    pairs = list(gen_morphism_pairs(PAIRS))
+    pairs += [p for p in (random_morphism_pair(rng, PAIRS) for _ in range(50))
+              if p is not None]
+    for f, g in pairs:
+        fresh = compose(g, f)
+        h = MorphismPair(f, g).composite
+        assert (h.dom, h.cod, h.vmap, h.amap) == \
+            (fresh.dom, fresh.cod, fresh.vmap, fresh.amap)
+        assert h.dom is fresh.dom and h.cod is fresh.cod
+    shared = {id(MorphismPair(f, g).composite) for f, g in pairs}
+    assert len(shared) < len(pairs)
+
+
+def _reinterned_edge_pair():
+    """The first pair of the `PAIRS` walk whose composite equals an
+    earlier pair's and sends a domain edge to an edge; its 1-based index
+    and the pair."""
+    seen = set()
+    for k, pair in enumerate(gen_morphism_pairs(PAIRS), 1):
+        h = compose(pair.g, pair.f)
+        key = (id(h.dom), id(h.cod), h.key())
+        if key in seen and any(h.dom.is_edge(a) and h.cod.is_edge(x)
+                               for a, x in h.amap.items()):
+            return k, pair
+        seen.add(key)
+    raise AssertionError("no composite recurs")
+
+
+@pytest.mark.parametrize("laws", [
+    ["MorphismComposition"],
+    ["ForgetfulFunctoriality"],
+    ["ForgetfulFunctoriality", "MorphismComposition"],
+], ids=["composition", "forgetful", "both"])
+def test_a_wrong_composite_is_not_hidden_by_interning(monkeypatch, laws):
+    # the k-th composite loses an edge although its correct value was
+    # interned earlier in the walk: the wrong one has a key of its own,
+    # so each law still fails at instance k
+    k, pair = _reinterned_edge_pair()
+    compose_, calls = lawcheck.compose, [0]
+
+    def drops_an_edge_at_k(g, f):
+        calls[0] += 1
+        h = compose_(g, f)
+        if calls[0] != k:
+            return h
+        e = next(a for a, x in h.amap.items()
+                 if h.dom.is_edge(a) and h.cod.is_edge(x))
+        return morphism(h.dom, h.cod, h.vmap,
+                        {a: x for a, x in h.amap.items() if a != e})
+
+    monkeypatch.setattr(lawcheck, "compose", drops_an_edge_at_k)
+    monkeypatch.setattr(lawcheck, "_COMPOSITES", dict(lawcheck._COMPOSITES))
+    for report in run_all(PAIRS, laws=laws):
+        assert (report.instances, report.counterexample) == \
+            (k, _describe_pair(pair))
+
+
 def test_universal_property_on_two_cycle(two_edge_boundary, loop_left):
     left, l = loop_left
     ctx = graph(["w"], {"c": ("w", "w")})
@@ -279,3 +343,18 @@ def test_is_morphism_agrees_with_classify_on_every_small_map():
     assert sum(kinds.values()) == 62927
     assert kinds[INVALID] and kinds[MORPHISM] and kinds[EMBEDDING]
     assert premorphisms
+
+
+@pytest.mark.parametrize("cod", [
+    graph([], {}, ["o"]),
+    graph(["v"], {}, ["o"]),
+    graph(["v", "w"], {}, ["o"]),
+], ids=["circle", "circle-vertex", "circle-two-vertices"])
+def test_two_circles_onto_one_are_not_an_embedding(cod):
+    # the only condition such a map breaks is circle injectivity, so
+    # the oracle's embedding test must read it to agree with classify
+    maps = list(enumerate_maps(graph([], {}, ["o0", "o1"]), cod))
+    assert len(maps) == 1
+    for f in maps:
+        assert is_morphism(f) and not is_embedding(f)
+        assert classify(f).codes() == ("CircleMapNotInjective",)

@@ -185,3 +185,42 @@ def test_forget_to_b_builds_each_circle_free_graph_once():
     assert emap == {"e": "c"}
     (dom3, _), _, _ = forget_to_b(identity(g))
     assert dom3 is dom
+
+
+def _forgotten_loop():
+    g = graph(["x"], {"e": ("x", "x")}, ["o"])
+    h = graph(["w"], {"c": ("w", "w")}, ["p"])
+    return morphism(g, h, {"x": "w"}, {"e": "c", "o": "p"})
+
+
+_MAP_MUTATIONS = [lambda m, k: m.__setitem__(k, k),
+                  lambda m, k: m.__delitem__(k),
+                  lambda m, k: m.update({k: k}),
+                  lambda m, k: m.pop(k),
+                  lambda m, k: m.clear()]
+
+
+@pytest.mark.parametrize("mutate", _MAP_MUTATIONS,
+                         ids=["setitem", "delitem", "update", "pop", "clear"])
+@pytest.mark.parametrize("part,key", [(1, "x"), (2, "e")],
+                         ids=["vmap", "emap"])
+def test_forget_to_b_cannot_be_changed_through_its_result(mutate, part, key):
+    # forget_to_b's result is cached on the morphism, so the maps it
+    # hands out must not write into the cache
+    f = _forgotten_loop()
+    result = forget_to_b(f)
+    before = [dict(m) for m in result[1:]]
+    with pytest.raises((TypeError, AttributeError)):
+        mutate(result[part], key)
+    assert forget_to_b(f) is result
+    assert [dict(m) for m in result[1:]] == before == \
+        [{"x": "w"}, {"e": "c"}]
+    assert f.vmap == {"x": "w"} and f.amap == {"e": "c", "o": "p"}
+
+
+def test_forget_to_b_is_built_once_per_morphism():
+    f = _forgotten_loop()
+    assert forget_to_b(f) is forget_to_b(f)
+    other = _forgotten_loop()
+    assert forget_to_b(other) is not forget_to_b(f)
+    assert forget_to_b(other)[1:] == forget_to_b(f)[1:]
