@@ -218,12 +218,9 @@ def pairing_graph(span: PartitioningSpan) -> PairingGraph:
 
 
 def blue_half(be: BoundaryEmbedding) -> PairingGraph:
-    """The half pairing graph a boundary embedding determines."""
+    """The half pairing graph a boundary embedding determines.  Every
+    re-pairing entry reaches the embedding check through here."""
     check_boundary_embedding(be)
-    return _blue_half(be)
-
-
-def _blue_half(be: BoundaryEmbedding) -> PairingGraph:
     b = be.b
     nodes = b.boundary_edges()
     polarity = {e: b.polarity(e) for e in nodes}
@@ -282,7 +279,7 @@ def _class_arrangements(be: BoundaryEmbedding, half: PairingGraph, a: str,
 def _solutions(be: BoundaryEmbedding, per_class: int):
     """Re-pairing solutions in enumeration order: the product of the
     first `per_class` arrangements of every class, canonical first."""
-    half = _blue_half(be)
+    half = blue_half(be)
     arrangements = [
         list(itertools.islice(_class_arrangements(be, half, a, members),
                               per_class))
@@ -296,11 +293,6 @@ def _solutions(be: BoundaryEmbedding, per_class: int):
 def enumerate_re_pairings(be: BoundaryEmbedding):
     """All solutions of the re-pairing problem, in deterministic order;
     the canonical solution comes first."""
-    check_boundary_embedding(be)
-    return _enumerate(be)
-
-
-def _enumerate(be: BoundaryEmbedding):
     # No dedupe: a class's red set fixes its path or cyclic order, and
     # classes touch disjoint nodes, so every combination is distinct.
     solutions = list(itertools.islice(_solutions(be, MAX_RE_PAIRINGS + 1),
@@ -313,11 +305,6 @@ def _enumerate(be: BoundaryEmbedding):
 
 def solve_re_pairing(be: BoundaryEmbedding) -> PairingGraph:
     """The canonical solution: identity arrangement in id order."""
-    check_boundary_embedding(be)
-    return _solve(be)
-
-
-def _solve(be: BoundaryEmbedding) -> PairingGraph:
     return next(_solutions(be, 1))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import List, Optional
 
 from . import dot, serialize
 from .boundary import (
@@ -26,7 +26,6 @@ from .dpo import (
     rewrite,
 )
 from .lawcheck import (
-    DEFAULT_BUDGET,
     GenBudget,
     LAWS,
     UnknownLaw,
@@ -181,19 +180,16 @@ def cmd_genus(args) -> int:
     return EXIT_OK
 
 
-def _parse_budget(text: str, seed: int) -> GenBudget:
+def _budget(text: str) -> List[int]:
+    """A V,E,O[,B] option of non-negative integers; anything else is a
+    usage error."""
     parts = text.split(",")
     if len(parts) not in (3, 4):
-        raise CliFailure("budget must be V,E,O or V,E,O,B")
+        raise argparse.ArgumentTypeError("budget must be V,E,O or V,E,O,B")
     try:
-        nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise CliFailure(f"bad budget: {text!r}") from exc
-    if min(nums) < 0:
-        raise CliFailure(f"bad budget: {text!r}")
-    if len(nums) == 3:
-        nums.append(DEFAULT_BUDGET.max_boundary_edges)
-    return GenBudget(*nums, seed=seed)
+        return [_count(p) for p in parts]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad budget: {text!r}") from None
 
 
 def _count(text: str) -> int:
@@ -209,8 +205,7 @@ def _count(text: str) -> int:
 
 
 def cmd_lawcheck(args) -> int:
-    budget = (_parse_budget(args.budget, args.seed) if args.budget
-              else GenBudget(seed=args.seed))
+    budget = GenBudget(*args.budget or (), seed=args.seed)
     names = [args.law] if args.law else sorted(LAWS)
     reports = run_all(budget, args.random, names)
     _emit(Document("trace", {
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lawcheck", help="run the law suite")
     p.add_argument("--law", default=None, metavar="NAME")
-    p.add_argument("--budget", default=None, metavar="V,E,O[,B]")
+    p.add_argument("--budget", type=_budget, default=None,
+                   metavar="V,E,O[,B]")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--random", type=_count, default=0, metavar="N",
                    help="extra seeded-random instances per law")

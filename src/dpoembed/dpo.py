@@ -37,14 +37,12 @@ from .boundary import (
     PairingGraph,
     PartitioningSpan,
     SpanInvariantViolated,
-    _enumerate,
     _leg_errors,
     _match_errors,
-    _solve,
-    check_boundary_embedding,
     check_span,
     enumerate_re_pairings,
     red_unmatched_nodes,
+    solve_re_pairing,
     validate_boundary_graph,
 )
 from .rotation import (
@@ -249,8 +247,8 @@ def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
     """The canonical re-pairing solution, or the `index`-th of all
     solutions in enumeration order."""
     if index is None:
-        return _solve(be)
-    solutions = _enumerate(be)
+        return solve_re_pairing(be)
+    solutions = enumerate_re_pairings(be)
     if not 0 <= index < len(solutions):
         raise SolutionIndexOutOfRange(
             f"solution index {index} not in [0, {len(solutions)})")
@@ -267,7 +265,6 @@ def pushout_complement(be: BoundaryEmbedding,
     rotation and the dual boundary takes its rotation from the boundary
     graph through c."""
     rots = _roles(rotations, ("boundary", "left", "host"))
-    check_boundary_embedding(be)
     solution = _pick(be, solution_index)
     if rots is None:
         return _complement(be, solution)
@@ -420,11 +417,11 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
     """One DPO step: complement of the match, then pushout against the
     right-hand side.  Returns (result graph, trace).
 
-    The rule and the embedding are checked once and the re-pairing
-    solution is picked once.  With `rotations`, keyed "boundary",
-    "left", "right" and "host", the context takes its rotation as in
-    `pushout_complement` and the result as in `pushout`, which
-    validates the context rotation.
+    The rule and the match are checked once, together, and the
+    re-pairing solution is picked once, through `blue_half`'s check.
+    With `rotations`, keyed "boundary", "left", "right" and "host", the
+    context takes its rotation as in `pushout_complement` and the
+    result as in `pushout`, which validates the context rotation.
     """
     # host before right: the embedding checks read the first three
     rots = _roles(rotations, ("boundary", "left", "host", "right"))

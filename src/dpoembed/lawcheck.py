@@ -80,6 +80,8 @@ DEFAULT_BUDGET = GenBudget()
 # Random sampling can afford slightly larger graphs.
 _MORPHISM_CAP = GenBudget(max_vertices=2, max_edges=2, max_circles=1)
 _RANDOM_MORPHISM_CAP = GenBudget(max_vertices=3, max_edges=2, max_circles=1)
+# Every rotation system of both graphs is walked, so these stay tiny.
+_ROT_CAP = GenBudget(max_vertices=2, max_edges=2, max_circles=0)
 
 
 def _cap(budget: GenBudget, cap: GenBudget) -> GenBudget:
@@ -593,8 +595,7 @@ def gen_morphism_pairs(budget: GenBudget):
 
 
 def gen_rot_instances(budget: GenBudget):
-    small = _cap(budget, GenBudget(max_vertices=2, max_edges=2,
-                                   max_circles=0))
+    small = _cap(budget, _ROT_CAP)
     graphs = list(gen_graphs(small))
     for dom in graphs:
         rot_doms = all_rotations(dom)
@@ -627,8 +628,7 @@ def random_morphism_pair(rng: random.Random, budget: GenBudget):
 
 
 def random_rot_instance(rng: random.Random, budget: GenBudget):
-    small = _cap(budget, GenBudget(max_vertices=2, max_edges=2,
-                                   max_circles=0))
+    small = _cap(budget, _ROT_CAP)
     dom = random_graph(rng, small)
     cod = random_graph(rng, small)
     pres = enumerate_premorphisms(dom, cod)
@@ -663,50 +663,49 @@ def _describe_rot(inst) -> str:
 # the registry
 
 @dataclass(frozen=True)
-class Law:
-    name: str
+class Shape:
+    """What a law's instances are: how to list them up to a budget, how
+    to draw one at random (None when a draw fails), and how to print one
+    as a replayable fixture."""
     generate: Callable[[GenBudget], Iterable]
     generate_random: Callable[[random.Random, GenBudget], object]
-    holds: Callable[[object], bool]
     describe: Callable[[object], str]
+
+
+MORPHISMS = Shape(gen_morphisms, random_morphism, _describe_morphism)
+PAIRS = Shape(gen_morphism_pairs, random_morphism_pair, _describe_pair)
+SPANS = Shape(gen_spans, random_span, _describe_span_shaped)
+EMBEDDINGS = Shape(gen_boundary_embeddings, random_boundary_embedding,
+                   _describe_span_shaped)
+ROTATED = Shape(gen_rot_instances, random_rot_instance, _describe_rot)
+
+
+@dataclass(frozen=True)
+class Law:
+    name: str
+    shape: Shape
+    holds: Callable[[object], bool]
 
 
 LAWS: Dict[str, Law] = {
     law.name: law
     for law in (
-        Law("FlagBijComposition", gen_morphism_pairs, random_morphism_pair,
-            _holds_flag_bij_composition, _describe_pair),
-        Law("MorphismComposition", gen_morphism_pairs, random_morphism_pair,
-            _holds_morphism_composition, _describe_pair),
-        Law("DegreePreservation", gen_morphisms, random_morphism,
-            _holds_degree_preservation, _describe_morphism),
-        Law("AlmostVertexInjective", gen_morphisms, random_morphism,
-            _holds_almost_vertex_injective, _describe_morphism),
-        Law("SelfLoopCreation", gen_spans, random_span,
-            _holds_self_loop_creation, _describe_span_shaped),
-        Law("PairingPathsOrCycles", gen_spans, random_span,
-            _holds_pairing_paths_or_cycles, _describe_span_shaped),
-        Law("PathInB", gen_spans, random_span,
-            _holds_path_in_b, _describe_span_shaped),
-        Law("EdgesAndCircles", gen_spans, random_span,
-            _holds_edges_and_circles, _describe_span_shaped),
-        Law("PushoutLegsAreEmbeddings", gen_spans, random_span,
-            _holds_pushout_legs, _describe_span_shaped),
-        Law("ComplementRoundTrip", gen_boundary_embeddings,
-            random_boundary_embedding, _holds_complement_round_trip,
-            _describe_span_shaped),
-        Law("ComplementUniqueness", gen_boundary_embeddings,
-            random_boundary_embedding, _holds_complement_uniqueness,
-            _describe_span_shaped),
-        Law("RePairingExistence", gen_boundary_embeddings,
-            random_boundary_embedding, _holds_re_pairing_existence,
-            _describe_span_shaped),
-        Law("RotPreservationImpliesFlagSurj", gen_rot_instances,
-            random_rot_instance, _holds_rot_implies_flag_surj,
-            _describe_rot),
-        Law("ForgetfulFunctoriality", gen_morphism_pairs,
-            random_morphism_pair, _holds_forgetful_functoriality,
-            _describe_pair),
+        Law("FlagBijComposition", PAIRS, _holds_flag_bij_composition),
+        Law("MorphismComposition", PAIRS, _holds_morphism_composition),
+        Law("DegreePreservation", MORPHISMS, _holds_degree_preservation),
+        Law("AlmostVertexInjective", MORPHISMS,
+            _holds_almost_vertex_injective),
+        Law("SelfLoopCreation", SPANS, _holds_self_loop_creation),
+        Law("PairingPathsOrCycles", SPANS, _holds_pairing_paths_or_cycles),
+        Law("PathInB", SPANS, _holds_path_in_b),
+        Law("EdgesAndCircles", SPANS, _holds_edges_and_circles),
+        Law("PushoutLegsAreEmbeddings", SPANS, _holds_pushout_legs),
+        Law("ComplementRoundTrip", EMBEDDINGS, _holds_complement_round_trip),
+        Law("ComplementUniqueness", EMBEDDINGS, _holds_complement_uniqueness),
+        Law("RePairingExistence", EMBEDDINGS, _holds_re_pairing_existence),
+        Law("RotPreservationImpliesFlagSurj", ROTATED,
+            _holds_rot_implies_flag_surj),
+        Law("ForgetfulFunctoriality", PAIRS, _holds_forgetful_functoriality),
     )
 }
 
@@ -734,35 +733,34 @@ def run_all(budget: GenBudget = DEFAULT_BUDGET, random_instances: int = 0,
             laws: Optional[Iterable[str]] = None,
             exhaustive: bool = True) -> List[LawReport]:
     """Run the named laws (all by default), one report per name in the
-    order given.  Laws that share a generator walk its instances once;
-    each law's report is the one `check_lemma` gives for it alone."""
+    order given.  Laws of one shape walk its instances once; each
+    law's report is the one `check_lemma` gives for it alone."""
     names = list(laws) if laws is not None else sorted(LAWS)
     for name in names:
         if name not in LAWS:
             raise UnknownLaw(f"unknown law {name!r}")
-    groups: Dict[tuple, List[Law]] = {}
+    groups: Dict[Shape, List[Law]] = {}
     for name in dict.fromkeys(names):
         law = LAWS[name]
-        groups.setdefault((law.generate, law.generate_random),
-                          []).append(law)
+        groups.setdefault(law.shape, []).append(law)
     reports: Dict[str, LawReport] = {}
     for group in groups.values():
         reports.update(_walk(group, budget, random_instances, exhaustive))
     return [reports[name] for name in names]
 
 
-def _instances(law: Law, budget: GenBudget, random_instances: int,
+def _instances(shape: Shape, budget: GenBudget, random_instances: int,
                exhaustive: bool) -> Iterator:
-    """The law's exhaustive instances, then up to `random_instances`
+    """The shape's exhaustive instances, then up to `random_instances`
     seeded-random ones, generated as they are asked for."""
     if exhaustive:
-        yield from law.generate(budget)
+        yield from shape.generate(budget)
     rng = random.Random(budget.seed)
     produced = 0
     attempts = 0
     while produced < random_instances and attempts < random_instances * 20:
         attempts += 1
-        inst = law.generate_random(rng, budget)
+        inst = shape.generate_random(rng, budget)
         if inst is not None:
             produced += 1
             yield inst
@@ -770,18 +768,19 @@ def _instances(law: Law, budget: GenBudget, random_instances: int,
 
 def _walk(laws: List[Law], budget: GenBudget, random_instances: int,
           exhaustive: bool) -> Dict[str, LawReport]:
-    """One walk over the instances of the laws' shared generators.  Each
+    """One walk over the instances of the laws' shared shape.  Each
     instance goes to every law that has not failed yet; a law stops at
     its first counterexample, and the walk when every law has stopped."""
     reports: Dict[str, LawReport] = {}
+    shape = laws[0].shape
     open_laws = list(laws)
     count = 0
-    for inst in _instances(laws[0], budget, random_instances, exhaustive):
+    for inst in _instances(shape, budget, random_instances, exhaustive):
         count += 1
         for law in list(open_laws):
             if not law.holds(inst):
                 reports[law.name] = LawReport(law.name, count,
-                                              law.describe(inst))
+                                              shape.describe(inst))
                 open_laws.remove(law)
         if not open_laws:
             break

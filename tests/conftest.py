@@ -6,10 +6,12 @@ import pytest
 from dpoembed import (
     BoundaryEmbedding,
     BoundaryGraph,
+    Flag,
     PartitioningSpan,
     RewriteRule,
     graph,
     morphism,
+    rotation_system,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -107,6 +109,21 @@ def bouquet_embedding(sizes):
     host = graph([], {}, sorted(set(circles)))
     m = morphism(left, host, {}, {f"a{i}": o for i, o in enumerate(circles)})
     return BoundaryEmbedding(b, left, host, l, m)
+
+
+def bouquet_rotations(be):
+    """Rotations on the boundary and L of a bouquet of loops p{j}/n{j}
+    -> a{j} at v, keeping each blue pair's flags side by side."""
+    k = len(be.left.edges)
+    return {
+        "boundary": rotation_system(be.b.graph, {
+            "bnd": [fl for j in range(k)
+                    for fl in (Flag(f"p{j}", "src"), Flag(f"n{j}", "tgt"))],
+            "dbd": [fl for j in reversed(range(k))
+                    for fl in (Flag(f"n{j}", "src"), Flag(f"p{j}", "tgt"))]}),
+        "left": rotation_system(be.left, {
+            "v": [fl for j in range(k)
+                  for fl in (Flag(f"a{j}", "src"), Flag(f"a{j}", "tgt"))]})}
 
 
 def count_calls(monkeypatch, fn):

@@ -8,9 +8,12 @@ from hypothesis import example, given, strategies as st
 from dpoembed import (
     BoundaryEmbedding,
     BoundaryGraph,
+    Flag,
     PartitioningSpan,
     RewriteRule,
+    blue_half,
     classify,
+    classify_re_pairings,
     compose,
     enumerate_re_pairings,
     graph,
@@ -19,9 +22,12 @@ from dpoembed import (
     pushout,
     pushout_complement,
     rewrite,
+    rotation_system,
     solve_re_pairing,
+    validate_boundary_embedding,
     validate_rule,
 )
+from dpoembed.boundary import BoundaryEmbeddingInvariantViolated
 from dpoembed.dpo import (
     ISO_MAX_VERTICES,
     NotABoundaryEmbedding,
@@ -29,7 +35,7 @@ from dpoembed.dpo import (
     SolutionIndexOutOfRange,
 )
 
-from conftest import count_calls
+from conftest import bouquet_embedding, bouquet_rotations, count_calls
 
 
 def test_pushout_of_edgeless_boundary():
@@ -145,24 +151,13 @@ def test_rewrite_refuses_a_misdirected_rule_before_the_complement(
     assert built == [0]
 
 
-def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
-    # L = vb -x-> u -y-> vb onto p -f-> q -g-> p with u left unmapped:
-    # the complement would keep q, so no square may be built from it
-    from dpoembed import (Flag, check_match, classify_re_pairings,
-                          rotation_system, validate_boundary_embedding)
-    from dpoembed.boundary import BoundaryEmbeddingInvariantViolated
-    b = two_edge_boundary
+def _interior_undefined(b):
+    """L = vb -x-> u -y-> vb onto p -f-> q -g-> p with u left unmapped,
+    and valid rotations on the boundary, L and the host."""
     left = graph(["vb", "u"], {"x": ("vb", "u"), "y": ("u", "vb")})
     l = morphism(b.graph, left, {"bnd": "vb"}, {"e1": "x", "e2": "y"})
     host = graph(["p", "q"], {"f": ("p", "q"), "g": ("q", "p")})
     m = morphism(left, host, {}, {"x": "f", "y": "g"})
-    assert classify(m).is_embedding
-    be = BoundaryEmbedding(b, left, host, l, m)
-    refusal = [("MatchUndefinedOnInterior", "u")]
-    assert validate_boundary_embedding(be) == refusal
-    assert check_match(RewriteRule(b, left, left, l, l), host, m) == refusal
-    with pytest.raises(BoundaryEmbeddingInvariantViolated):
-        pushout_complement(be)
     rots = {"boundary": rotation_system(b.graph, {
                 "bnd": [Flag("e1", "src"), Flag("e2", "tgt")],
                 "dbd": [Flag("e1", "tgt"), Flag("e2", "src")]}),
@@ -172,11 +167,64 @@ def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
             "host": rotation_system(host, {
                 "p": [Flag("f", "src"), Flag("g", "tgt")],
                 "q": [Flag("f", "tgt"), Flag("g", "src")]})}
+    return BoundaryEmbedding(b, left, host, l, m), rots
+
+
+def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
+    # the complement would keep q, so no square may be built from it
+    from dpoembed import check_match
+    be, rots = _interior_undefined(two_edge_boundary)
+    b, left, host, l, m = be.b, be.left, be.host, be.l, be.m
+    assert classify(m).is_embedding
+    refusal = [("MatchUndefinedOnInterior", "u")]
+    assert validate_boundary_embedding(be) == refusal
+    assert check_match(RewriteRule(b, left, left, l, l), host, m) == refusal
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
+        pushout_complement(be)
     with pytest.raises(BoundaryEmbeddingInvariantViolated):
         classify_re_pairings(be, rots)
     with pytest.raises(NotABoundaryEmbedding) as err:
         rewrite(RewriteRule(b, left, left, l, l), host, m)
     assert err.value.args[0] == refusal
+
+
+# Every entry that solves the re-pairing problem, as a function of the
+# embedding and its rotations; each reaches the one embedding check in
+# `blue_half`.
+_RE_PAIRING_ENTRIES = {
+    "blue_half": lambda be, rots: blue_half(be),
+    "solve_re_pairing": lambda be, rots: solve_re_pairing(be),
+    "enumerate_re_pairings": lambda be, rots: enumerate_re_pairings(be),
+    "pushout_complement": lambda be, rots: pushout_complement(be),
+    "pushout_complement-index": lambda be, rots: pushout_complement(be, 0),
+    "classify_re_pairings": lambda be, rots: classify_re_pairings(be, rots),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RE_PAIRING_ENTRIES))
+def test_every_re_pairing_entry_refuses_an_invalid_embedding(
+        monkeypatch, two_edge_boundary, entry):
+    from dpoembed import dpo
+    be, rots = _interior_undefined(two_edge_boundary)
+    built = count_calls(monkeypatch, dpo._complement)
+    with pytest.raises(BoundaryEmbeddingInvariantViolated) as err:
+        _RE_PAIRING_ENTRIES[entry](be, rots)
+    assert err.value.args[0] == [("MatchUndefinedOnInterior", "u")]
+    assert built == [0]
+
+
+@pytest.mark.parametrize("entry", sorted(_RE_PAIRING_ENTRIES) + ["rewrite"])
+def test_every_re_pairing_entry_validates_the_embedding_once(monkeypatch,
+                                                             entry):
+    be = bouquet_embedding((4,))
+    rots = {**bouquet_rotations(be), "host": rotation_system(be.host, {})}
+    calls = count_calls(monkeypatch, validate_boundary_embedding)
+    if entry == "rewrite":
+        rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l), be.host,
+                be.m)
+    else:
+        _RE_PAIRING_ENTRIES[entry](be, rots)
+    assert calls[0] <= 1
 
 
 def test_iso_check_positive_and_negative():

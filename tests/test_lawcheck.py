@@ -146,8 +146,7 @@ def _fails_at(k, calls):
     def holds(inst):
         calls.append(inst)
         return len(calls) != k
-    return Law("FailsAt", gen_morphism_pairs, random_morphism_pair, holds,
-               _describe_pair)
+    return Law("FailsAt", lawcheck.PAIRS, holds)
 
 
 def _run_with_failing_law(monkeypatch, k, laws):

@@ -37,7 +37,7 @@ from dpoembed.morphism import flag_map
 from dpoembed.rotation import FWD, REV, RotationError
 from dpoembed.serialize import read_document
 
-from conftest import FIXTURES, count_calls
+from conftest import FIXTURES, bouquet_rotations, count_calls
 
 
 def bouquet(n):
@@ -247,19 +247,11 @@ def _bouquet_on_circle(k):
                                    "h": ("z", "x")}, ["o"])
     m = morphism(left, host, {}, {f"a{j}": "o" for j in range(k)})
     be = BoundaryEmbedding(b, left, host, l, m)
-    rot_b = rotation_system(b.graph, {
-        "bnd": [fl for j in range(k)
-                for fl in (Flag(f"p{j}", "src"), Flag(f"n{j}", "tgt"))],
-        "dbd": [fl for j in reversed(range(k))
-                for fl in (Flag(f"n{j}", "src"), Flag(f"p{j}", "tgt"))]})
-    rot_l = rotation_system(left, {
-        "v": [fl for j in range(k)
-              for fl in (Flag(f"a{j}", "src"), Flag(f"a{j}", "tgt"))]})
     rot_h = rotation_system(host, {
         "x": [Flag("f", "src"), Flag("h", "tgt")],
         "y": [Flag("g", "src"), Flag("f", "tgt")],
         "z": [Flag("h", "src"), Flag("g", "tgt")]})
-    return be, {"boundary": rot_b, "left": rot_l, "host": rot_h}
+    return be, {**bouquet_rotations(be), "host": rot_h}
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -112,6 +112,43 @@ def test_lawcheck_uses_no_private_name_of_the_library():
     assert not found
 
 
+# The private names one library module reads from another, each listed
+# on purpose: the entry checks its arguments once and its unchecked core
+# stays in its module, so no caller crosses that check by importing it.
+_CROSS_MODULE_PRIVATE = {
+    ("dpo", "graph._union_find"),
+    ("dpo", "boundary._leg_errors"),
+    ("dpo", "boundary._match_errors"),
+    ("dpo", "rotation._surface"),
+    ("matcher", "boundary._match_errors"),
+    ("matcher", "dpo._roles"),
+    ("matcher", "dpo._check_rotations"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("dpoembed")):
+                module = (node.module or "").split(".")[-1]
+                for alias in node.names:
+                    if module in ("", "dpoembed"):
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.add((path.stem, f"{module}.{alias.name}"))
+        found |= {(path.stem, f"{node.value.id}.{node.attr}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules}
+    assert found == _CROSS_MODULE_PRIVATE
+
+
 # The oracles may build and read the library's objects, nothing more.
 _ORACLE_IMPORTS = {
     "graph": {"Flag", "Graph", "SRC", "TGT", "UnknownVertex", "graph"},
