@@ -47,29 +47,30 @@ from .boundary import (
     BoundaryGraph,
     PairingGraph,
     PartitioningSpan,
+    RewriteRule,
     arc_classes,
     blue_half,
     check_boundary_embedding,
+    check_match,
     check_span,
     enumerate_re_pairings,
     pairing_graph,
     solve_re_pairing,
     validate_boundary_embedding,
     validate_boundary_graph,
+    validate_rule,
     validate_span,
 )
 from .dpo import (
     ComplementResult,
     DpoError,
     PushoutResult,
-    RewriteRule,
     RewriteTrace,
     classify_re_pairings,
     iso_check,
     pushout,
     pushout_complement,
     rewrite,
-    validate_rule,
 )
 from .rotation import (
     ComponentReport,
@@ -85,7 +86,6 @@ from .rotation import (
 )
 from .matcher import (
     MatcherError,
-    check_match,
     find_matches,
 )
 from .lawcheck import (

@@ -1,5 +1,5 @@
-"""Boundary graphs, partitioning spans, boundary embeddings and the
-re-pairing problem.
+"""Boundary graphs, partitioning spans, rewrite rules, boundary
+embeddings and matches, their checks, and the re-pairing problem.
 
 The pairing graph of a span is a polarity-labelled graph on the
 boundary edges: blue edges record pairs merged to a self-loop on the
@@ -116,6 +116,25 @@ def check_span(span: PartitioningSpan) -> None:
 
 
 @dataclass(frozen=True)
+class RewriteRule:
+    """L <= B => R: both legs satisfy the left-leg conditions of a
+    partitioning span on the boundary vertex."""
+
+    b: BoundaryGraph
+    left: Graph
+    right: Graph
+    l: GraphMorphism
+    r: GraphMorphism
+
+
+def validate_rule(rule: RewriteRule):
+    b = rule.b
+    return (validate_boundary_graph(b)
+            + _leg_errors("l", rule.l, b, rule.left, b.boundary)
+            + _leg_errors("r", rule.r, b, rule.right, b.boundary))
+
+
+@dataclass(frozen=True)
 class BoundaryEmbedding:
     """B -l-> L -m-> G with L connected, m an embedding, and the match
     undefined on the image of the boundary vertex but defined on every
@@ -164,6 +183,14 @@ def check_boundary_embedding(be: BoundaryEmbedding) -> None:
     errors = validate_boundary_embedding(be)
     if errors:
         raise BoundaryEmbeddingInvariantViolated(errors)
+
+
+def check_match(rule: RewriteRule, host: Graph,
+                m: GraphMorphism) -> List[Tuple[str, str]]:
+    """Validate a candidate match condition by condition; the list of
+    failures is empty when `m` is a match."""
+    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
+    return validate_rule(rule) + _match_errors(be)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from . import dot, serialize
-from .boundary import (
-    BoundaryError,
-    blue_half,
-    enumerate_re_pairings,
-    solve_re_pairing,
-)
+from .boundary import BoundaryError, enumerate_re_pairings, solve_re_pairing
 from .dpo import (
     DpoError,
     classify_re_pairings,
@@ -125,18 +121,18 @@ def cmd_complement(args) -> int:
 
 def cmd_repairings(args) -> int:
     _, (be, rots) = _parse(args.file, args.lenient, ("boundary_embedding",))
+    classify_genus = args.classify_genus or args.planar_only
+    solved = (classify_re_pairings(be, rots) if classify_genus
+              else [(s, None) for s in enumerate_re_pairings(be)])
+    kept = [(s, r) for s, r in solved if not args.planar_only or r.is_planar]
+    # every solution extends the blue half, and there is always one
     body = {"operation": "repairings",
-            "blue_half": serialize.solution_to_body(blue_half(be))}
-    if args.classify_genus or args.planar_only:
-        classified = [(s, r) for s, r in classify_re_pairings(be, rots)
-                      if not args.planar_only or r.is_planar]
-        body["solutions"] = [serialize.solution_to_body(s)
-                             for s, _ in classified]
+            "blue_half": serialize.solution_to_body(
+                replace(solved[0][0], red=frozenset())),
+            "solutions": [serialize.solution_to_body(s) for s, _ in kept]}
+    if classify_genus:
         body["reports"] = [serialize.surface_report_doc(r).body
-                           for _, r in classified]
-    else:
-        body["solutions"] = [serialize.solution_to_body(s)
-                             for s in enumerate_re_pairings(be)]
+                           for _, r in kept]
     _emit(Document("trace", body))
     return EXIT_OK
 

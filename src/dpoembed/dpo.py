@@ -1,11 +1,12 @@
 """The rewriting engine: pushouts of partitioning spans, pushout
-complements of boundary embeddings, rewrite rules, the DPO step
-`rewrite` and the genus classification of re-pairing solutions.
+complements of boundary embeddings, the DPO step `rewrite` and the
+genus classification of re-pairing solutions.
 
 Each square has one function.  Given a `rotations` mapping keyed by
 role (the shape `serialize.load_document` returns), it carries the
 rotation systems through the square; without one it is the plain
-construction.
+construction.  The checks on rules, matches, embeddings and rotations
+live in `boundary` and `rotation`; this module only builds.
 
 All maps are explicit tables; embeddings are never treated as
 inclusions.  Pushout element ids are prefixed by side ("L." / "C."),
@@ -33,35 +34,32 @@ from .morphism import GraphMorphism, flag_map, morphism
 from .boundary import (
     POS,
     BoundaryEmbedding,
+    BoundaryEmbeddingInvariantViolated,
     BoundaryGraph,
     PairingGraph,
     PartitioningSpan,
+    RewriteRule,
     SpanInvariantViolated,
-    _leg_errors,
-    _match_errors,
     check_span,
     enumerate_re_pairings,
     red_unmatched_nodes,
     solve_re_pairing,
-    validate_boundary_graph,
+    validate_rule,
 )
 from .rotation import (
-    RotationError,
+    Rotations,
     RotationSystem,
     SurfaceReport,
     _surface,
-    check_rot_morphism,
+    check_rotations,
     genus_report,
+    role_rotations,
     rotation_system,
-    validate_rotation,
+    validated_rotation,
 )
 
 
 class DpoError(Exception):
-    pass
-
-
-class NotABoundaryEmbedding(DpoError):
     pass
 
 
@@ -75,41 +73,13 @@ class SizeLimitExceeded(DpoError):
 
 ISO_MAX_VERTICES = 64  # iso_check refuses larger graphs
 
-Rotations = Optional[Mapping[str, Optional[RotationSystem]]]
-
-
-def _roles(rotations: Rotations, roles) -> Optional[Tuple[RotationSystem, ...]]:
-    """The rotation systems of `roles`, in order, or None without
-    rotations.  Every entry calls this first."""
-    if rotations is None:
-        return None
-    missing = sorted(r for r in roles if rotations.get(r) is None)
-    if missing:
-        raise RotationError("rotations required on: " + ", ".join(missing))
-    return tuple(rotations[r] for r in roles)
-
-
-def _check_rotations(what: str, rots, graphs, legs) -> None:
-    """Each rotation system is valid on its graph, and each leg (name,
-    morphism, domain index, codomain index) preserves them."""
-    for rs, g in zip(rots, graphs):
-        if rs.graph != g or not validate_rotation(rs).ok:
-            raise RotationError(f"invalid rotation data for {what}")
-    for name, f, i, j in legs:
-        if not check_rot_morphism(f, rots[i], rots[j]):
-            raise RotationError(f"{name} does not preserve rotations")
+# the old name of the one refusal of a rule, a match or an embedding
+NotABoundaryEmbedding = BoundaryEmbeddingInvariantViolated
 
 
 def _check_embedding_rotations(be: BoundaryEmbedding, rots) -> None:
-    _check_rotations("boundary embedding", rots, (be.b.graph, be.left, be.host),
-                     (("l", be.l, 0, 1), ("m", be.m, 1, 2)))
-
-
-def _validated(rs: RotationSystem) -> RotationSystem:
-    report = validate_rotation(rs)
-    if not report.ok:
-        raise RotationError(report.errors)
-    return rs
+    check_rotations("boundary embedding", rots, (be.b.graph, be.left, be.host),
+                    (("l", be.l, 0, 1), ("m", be.m, 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -138,11 +108,11 @@ def pushout(span: PartitioningSpan,
     "context", each surviving vertex keeps the rotation of the side it
     came from.
     """
-    rots = _roles(rotations, ("boundary", "left", "context"))
+    rots = role_rotations(rotations, ("boundary", "left", "context"))
     if rots is not None:
-        _check_rotations("span", rots, (span.b.graph, span.left, span.context),
-                         (("left leg", span.l, 0, 1),
-                          ("context leg", span.c, 0, 2)))
+        check_rotations("span", rots, (span.b.graph, span.left, span.context),
+                        (("left leg", span.l, 0, 1),
+                         ("context leg", span.c, 0, 2)))
     check_span(span)
     b, left, ctx = span.b, span.left, span.context
     vb_l = span.l.vmap[b.boundary]
@@ -217,7 +187,7 @@ def pushout(span: PartitioningSpan,
             for v, w in f.vmap.items():
                 inc[w] = tuple(Flag(f.amap[fl.edge], fl.end)
                                for fl in rs.rotation(v))
-        rotation = _validated(rotation_system(result, inc))
+        rotation = validated_rotation(rotation_system(result, inc))
     return PushoutResult(result, m_map, g_map, classes_out, rotation)
 
 
@@ -264,13 +234,13 @@ def pushout_complement(be: BoundaryEmbedding,
     "boundary", "left" and "host", surviving vertices keep their host
     rotation and the dual boundary takes its rotation from the boundary
     graph through c."""
-    rots = _roles(rotations, ("boundary", "left", "host"))
+    rots = role_rotations(rotations, ("boundary", "left", "host"))
     solution = _pick(be, solution_index)
     if rots is None:
         return _complement(be, solution)
     _check_embedding_rotations(be, rots)
     comp = _complement(be, solution, rots)
-    _validated(comp.rotation)
+    validated_rotation(comp.rotation)
     return comp
 
 
@@ -346,7 +316,7 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
     touched components, with the untouched components' reports carried
     over: O(host) once, then O(touched part + boundary edges) per
     solution."""
-    rots = _roles(rotations or {}, ("boundary", "left", "host"))
+    rots = role_rotations(rotations or {}, ("boundary", "left", "host"))
     solutions = enumerate_re_pairings(be)
     _check_embedding_rotations(be, rots)
     first = genus_report(_complement(be, solutions[0], rots).rotation)
@@ -387,25 +357,6 @@ def _split_host(be: BoundaryEmbedding) -> Tuple[Graph, Graph]:
 
 
 @dataclass(frozen=True)
-class RewriteRule:
-    """L <= B => R: both legs satisfy the left-leg conditions of a
-    partitioning span on the boundary vertex."""
-
-    b: BoundaryGraph
-    left: Graph
-    right: Graph
-    l: GraphMorphism
-    r: GraphMorphism
-
-
-def validate_rule(rule: RewriteRule):
-    b = rule.b
-    return (validate_boundary_graph(b)
-            + _leg_errors("l", rule.l, b, rule.left, b.boundary)
-            + _leg_errors("r", rule.r, b, rule.right, b.boundary))
-
-
-@dataclass(frozen=True)
 class RewriteTrace:
     complement: ComplementResult  # carries the re-pairing solution
     result_pushout: PushoutResult
@@ -417,18 +368,18 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
     """One DPO step: complement of the match, then pushout against the
     right-hand side.  Returns (result graph, trace).
 
-    The rule and the match are checked once, together, and the
-    re-pairing solution is picked once, through `blue_half`'s check.
-    With `rotations`, keyed "boundary", "left", "right" and "host", the
+    The rule is checked first; the match is checked once, by the
+    `blue_half` gate, as the re-pairing solution is picked.  Both
+    refusals are `BoundaryEmbeddingInvariantViolated`.  With `rotations`, keyed "boundary", "left", "right" and "host", the
     context takes its rotation as in `pushout_complement` and the
     result as in `pushout`, which validates the context rotation.
     """
     # host before right: the embedding checks read the first three
-    rots = _roles(rotations, ("boundary", "left", "host", "right"))
-    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
-    errors = validate_rule(rule) + _match_errors(be)
+    rots = role_rotations(rotations, ("boundary", "left", "host", "right"))
+    errors = validate_rule(rule)
     if errors:
-        raise NotABoundaryEmbedding(errors)
+        raise BoundaryEmbeddingInvariantViolated(errors)
+    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
     solution = _pick(be, solution_index)
     if rots is not None:
         _check_embedding_rotations(be, rots)

@@ -13,21 +13,20 @@ forces, the one at its cyclic offset from the vertex's first flag given
 rotations, or any; mapping a new edge places its far endpoint.
 Self-loops at the boundary image take any host arc.
 The rule is validated once per search.  A completed walk is an
-embedding by construction, so no candidate is classified.
-`check_match` is the full check of one candidate, built from the
-validators; the brute-force oracle in `oracle` checks the search for
-soundness and completeness with its own naive match predicate.
+embedding by construction, so no candidate is classified.  The
+brute-force oracle in `oracle` checks the search for soundness and
+completeness with its own naive match predicate.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import List
 
 from .graph import SRC, Flag, Graph, degree, is_connected
-from .morphism import GraphMorphism, morphism
-from .boundary import BoundaryEmbedding, _match_errors
-from .dpo import Rotations, RewriteRule, _check_rotations, _roles, validate_rule
+from .morphism import morphism
+from .boundary import BoundaryEmbedding, RewriteRule, validate_rule
+from .rotation import Rotations, check_rotations, role_rotations
 
 
 class MatcherError(Exception):
@@ -45,14 +44,6 @@ class MatchLimitExceeded(MatcherError):
 MAX_MATCHES = 10000  # a search stops at the first match past this
 
 
-def check_match(rule: RewriteRule, host: Graph,
-                m: GraphMorphism) -> List[Tuple[str, str]]:
-    """Validate a candidate match condition by condition; the list of
-    failures is empty when `m` is a match."""
-    be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, m)
-    return validate_rule(rule) + _match_errors(be)
-
-
 def _far_end(g: Graph, fl: Flag) -> str:
     """The vertex at the other end of the flag's edge."""
     s, t = g.edges[fl.edge]
@@ -64,10 +55,10 @@ def find_matches(rule: RewriteRule, host: Graph,
     """All matches of the rule's left-hand side into the host, as
     boundary embeddings sorted by match; with `rotations`, keyed "left"
     and "host", only the rotation-preserving ones."""
-    rots = _roles(rotations, ("left", "host"))
+    rots = role_rotations(rotations, ("left", "host"))
     left = rule.left
     if rots is not None:
-        _check_rotations("match", rots, (left, host), ())
+        check_rotations("match", rots, (left, host), ())
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
     # The rule's half of the boundary-embedding conditions, once per

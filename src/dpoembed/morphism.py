@@ -48,9 +48,6 @@ class GraphMorphism:
     def v(self, x: str) -> Optional[str]:
         return self.vmap.get(x)
 
-    def a(self, x: str) -> Optional[str]:
-        return self.amap.get(x)
-
     def key(self):
         return (tuple(sorted(self.vmap.items())), tuple(sorted(self.amap.items())))
 

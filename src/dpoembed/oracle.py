@@ -16,8 +16,8 @@ from typing import Dict, Iterator, List, Tuple
 
 from .graph import SRC, TGT, Flag, Graph, UnknownVertex
 from .morphism import GraphMorphism, morphism
-from .boundary import BoundaryEmbedding, BoundaryGraph, PairingGraph
-from .dpo import RewriteRule
+from .boundary import (BoundaryEmbedding, BoundaryGraph, PairingGraph,
+                       RewriteRule)
 from .rotation import RotationSystem, rotation_system
 
 

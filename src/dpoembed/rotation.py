@@ -1,6 +1,7 @@
 """Rotation systems: cyclic flag orders, rotation-preserving
-morphisms, face tracing and genus.  The rewriting engine (`dpo`) carries
-these through its squares; this module knows nothing of rewriting.
+morphisms, face tracing and genus, and the checks on rotations keyed by
+role.  The rewriting engine (`dpo`) and the matcher carry these through
+their constructions; this module knows nothing of rewriting.
 
 A rotation system fixes, at every vertex, a cyclic order of the
 incident flags, which determines an embedding of each connected
@@ -12,7 +13,7 @@ orientation and can change the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .graph import (
     SRC,
@@ -92,6 +93,41 @@ def check_rot_morphism(f: GraphMorphism, dom: RotationSystem,
     return True
 
 
+# rotation systems keyed by role: "boundary", "left", "host" and so on
+Rotations = Optional[Mapping[str, Optional[RotationSystem]]]
+
+
+def role_rotations(rotations: Rotations,
+                   roles) -> Optional[Tuple[RotationSystem, ...]]:
+    """The rotation systems of `roles`, in order, or None without
+    rotations.  Every entry that takes rotations calls this first."""
+    if rotations is None:
+        return None
+    missing = sorted(r for r in roles if rotations.get(r) is None)
+    if missing:
+        raise RotationError("rotations required on: " + ", ".join(missing))
+    return tuple(rotations[r] for r in roles)
+
+
+def check_rotations(what: str, rots, graphs, legs) -> None:
+    """Each rotation system is valid on its graph, and each leg (name,
+    morphism, domain index, codomain index) preserves them."""
+    for rs, g in zip(rots, graphs):
+        if rs.graph != g or not validate_rotation(rs).ok:
+            raise RotationError(f"invalid rotation data for {what}")
+    for name, f, i, j in legs:
+        if not check_rot_morphism(f, rots[i], rots[j]):
+            raise RotationError(f"{name} does not preserve rotations")
+
+
+def validated_rotation(rs: RotationSystem) -> RotationSystem:
+    """`rs`, once `validate_rotation` passes it."""
+    report = validate_rotation(rs)
+    if not report.ok:
+        raise RotationError(report.errors)
+    return rs
+
+
 Dart = Tuple[str, str]  # (edge, "fwd" | "rev")
 FWD = "fwd"
 REV = "rev"
@@ -105,10 +141,7 @@ def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
     two darts of every edge lies in exactly one face walk.  Circles are
     not traced here; see `genus_report` for their face convention.
     """
-    report = validate_rotation(rs)
-    if not report.ok:
-        raise RotationError(report.errors)
-    g = rs.graph
+    g = validated_rotation(rs).graph
     position: Dict[Flag, Tuple[str, int]] = {}
     for v in g.sorted_vertices():
         for i, fl in enumerate(rs.rotation(v)):

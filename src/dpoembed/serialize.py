@@ -19,11 +19,12 @@ from .boundary import (
     BoundaryGraph,
     PairingGraph,
     PartitioningSpan,
+    RewriteRule,
     validate_boundary_embedding,
     validate_boundary_graph,
+    validate_rule,
     validate_span,
 )
-from .dpo import RewriteRule, validate_rule
 from .rotation import RotationSystem, SurfaceReport, rotation_system, validate_rotation
 
 FORMAT_VERSION = "1"
@@ -389,6 +390,8 @@ def read_document(text: str, lenient: bool = False):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
     _check_fields(payload, {"format_version", "kind", "body"}, (),
                   "document", lenient)
     if payload["format_version"] != FORMAT_VERSION:

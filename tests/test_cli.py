@@ -55,6 +55,18 @@ def test_bad_json_is_usage_error(capsys, tmp_path):
     assert "line" in err
 
 
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    # the JSON parser recurses once per level and gives up near 1,000
+    depth = 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"format_version": "1", "kind": "graph", "body": '
+                    + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "validate", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err == "error: document nested too deeply\n"
+
+
 @pytest.mark.parametrize("vertices", [[["a"]], "ab", [1, 2]],
                          ids=["nested-list", "string", "integers"])
 def test_malformed_vertex_ids_are_usage_errors(capsys, tmp_path, vertices):

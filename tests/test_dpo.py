@@ -190,7 +190,7 @@ def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
 
 # Every entry that solves the re-pairing problem, as a function of the
 # embedding and its rotations; each reaches the one embedding check in
-# `blue_half`.
+# `blue_half`.  `rewrite` gets the identity rule on the embedding's L.
 _RE_PAIRING_ENTRIES = {
     "blue_half": lambda be, rots: blue_half(be),
     "solve_re_pairing": lambda be, rots: solve_re_pairing(be),
@@ -198,6 +198,8 @@ _RE_PAIRING_ENTRIES = {
     "pushout_complement": lambda be, rots: pushout_complement(be),
     "pushout_complement-index": lambda be, rots: pushout_complement(be, 0),
     "classify_re_pairings": lambda be, rots: classify_re_pairings(be, rots),
+    "rewrite": lambda be, rots: rewrite(
+        RewriteRule(be.b, be.left, be.left, be.l, be.l), be.host, be.m),
 }
 
 
@@ -213,18 +215,17 @@ def test_every_re_pairing_entry_refuses_an_invalid_embedding(
     assert built == [0]
 
 
-@pytest.mark.parametrize("entry", sorted(_RE_PAIRING_ENTRIES) + ["rewrite"])
+@pytest.mark.parametrize("entry", sorted(_RE_PAIRING_ENTRIES))
 def test_every_re_pairing_entry_validates_the_embedding_once(monkeypatch,
                                                              entry):
+    from dpoembed import boundary
     be = bouquet_embedding((4,))
     rots = {**bouquet_rotations(be), "host": rotation_system(be.host, {})}
     calls = count_calls(monkeypatch, validate_boundary_embedding)
-    if entry == "rewrite":
-        rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l), be.host,
-                be.m)
-    else:
-        _RE_PAIRING_ENTRIES[entry](be, rots)
+    match_checks = count_calls(monkeypatch, boundary._match_errors)
+    _RE_PAIRING_ENTRIES[entry](be, rots)
     assert calls[0] <= 1
+    assert match_checks == [1]
 
 
 def test_iso_check_positive_and_negative():
