@@ -8,6 +8,7 @@ diagnostics to stderr.  Exit codes: 0 success, 1 domain failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -56,6 +57,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _emit(doc: Document) -> None:
@@ -232,7 +237,12 @@ def cmd_export_dot(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by
+    every later one.  Parsing leaves it unchanged.  Each subcommand
+    records the name of its `cmd_*` function, which `main` looks up
+    when it runs, so a patched `cmd_*` still takes effect."""
     parser = argparse.ArgumentParser(
         prog="dpoembed",
         description="Double-pushout rewriting on graphs with circles.")
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", nargs="?", default="-",
                        help="input document ('-' for stdin)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)
         return p
 
     add("validate", cmd_validate,
@@ -282,17 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--random", type=_count, default=0, metavar="N",
                    help="extra seeded-random instances per law")
-    p.set_defaults(fn=cmd_lawcheck)
+    p.set_defaults(fn=cmd_lawcheck.__name__)
 
     add("export-dot", cmd_export_dot, help="render a document as DOT")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except DocumentSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

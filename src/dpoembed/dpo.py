@@ -118,29 +118,33 @@ def pushout(span: PartitioningSpan,
     vb_l = span.l.vmap[b.boundary]
     vb_c = span.c.vmap[b.dual_boundary]
 
-    members = [("L", a) for a in left.arcs()] + [("C", a) for a in ctx.arcs()]
-    root = _union_find(
-        members,
-        ((("L", span.l.amap[e]), ("C", span.c.amap[e]))
-         for e in b.boundary_edges()),
-        key=_side_key)
-    # a class is named after its least member, which is its root
-    cid_of = {m: f"{side}.{ident}" for m, (side, ident) in root.items()}
+    # only the arcs a boundary edge reaches are glued: at most 2|B|
+    # members; every other arc is a class of its own
+    bedges = b.boundary_edges()
+    glue = [(("L", span.l.amap[e]), ("C", span.c.amap[e])) for e in bedges]
+    root = _union_find(itertools.chain.from_iterable(glue), glue,
+                       key=_side_key)
+    # side -> glued arc -> its class, named after its least member, which
+    # is its root
+    glued: Dict[str, Dict[str, str]] = {"L": {}, "C": {}}
+    for (side, a), (root_side, root_arc) in root.items():
+        glued[side][a] = f"{root_side}.{root_arc}"
 
     vertices = {f"L.{v}" for v in left.vertices if v != vb_l} | {
         f"C.{v}" for v in ctx.vertices if v != vb_c
     }
 
-    sources: Dict[str, set] = {cid: set() for cid in cid_of.values()}
-    targets: Dict[str, set] = {cid: set() for cid in cid_of.values()}
-    for (side, a), cid in cid_of.items():
-        g_side, boundary_v = (left, vb_l) if side == "L" else (ctx, vb_c)
-        if g_side.is_edge(a):
-            s, t = g_side.edges[a]
-            if s != boundary_v:
-                sources[cid].add(f"{side}.{s}")
-            if t != boundary_v:
-                targets[cid].add(f"{side}.{t}")
+    sources: Dict[str, set] = {cid: set() for cid in glued["L"].values()}
+    targets: Dict[str, set] = {cid: set() for cid in glued["L"].values()}
+    sides = (("L", left, vb_l), ("C", ctx, vb_c))
+    for side, g_side, boundary_v in sides:
+        for a, cid in glued[side].items():
+            if g_side.is_edge(a):
+                s, t = g_side.edges[a]
+                if s != boundary_v:
+                    sources[cid].add(f"{side}.{s}")
+                if t != boundary_v:
+                    targets[cid].add(f"{side}.{t}")
 
     edges = {}
     circles = set()
@@ -159,6 +163,22 @@ def pushout(span: PartitioningSpan,
         else:
             circles.add(cid)
 
+    # the unglued arcs, copied with their side's prefix; the span check
+    # put none of them at the boundary image, which the glue reaches
+    amaps = {}
+    for side, g_side, _ in sides:
+        here = glued[side]
+        amap = amaps[side] = {}
+        for e, (s, t) in g_side.edges.items():
+            if e not in here:
+                amap[e] = cid = f"{side}.{e}"
+                edges[cid] = (f"{side}.{s}", f"{side}.{t}")
+        for o in g_side.circles:
+            if o not in here:
+                amap[o] = cid = f"{side}.{o}"
+                circles.add(cid)
+        amap.update(here)
+
     result = graph(vertices, edges, circles)
     report = validate_graph(result)
     if not report.ok:
@@ -166,19 +186,15 @@ def pushout(span: PartitioningSpan,
 
     m_map = morphism(
         left, result,
-        {v: f"L.{v}" for v in left.vertices if v != vb_l},
-        {a: cid_of[("L", a)] for a in left.arcs()},
-    )
+        {v: f"L.{v}" for v in left.vertices if v != vb_l}, amaps["L"])
     g_map = morphism(
         ctx, result,
-        {v: f"C.{v}" for v in ctx.vertices if v != vb_c},
-        {a: cid_of[("C", a)] for a in ctx.arcs()},
-    )
+        {v: f"C.{v}" for v in ctx.vertices if v != vb_c}, amaps["C"])
 
-    preimages: Dict[str, List[str]] = {cid: [] for cid in set(cid_of.values())}
-    for e in b.boundary_edges():
-        preimages[cid_of[("L", span.l.amap[e])]].append(e)
-    classes_out = {cid: tuple(sorted(es)) for cid, es in preimages.items()}
+    classes_out: Dict[str, Tuple[str, ...]] = dict.fromkeys(
+        itertools.chain(result.edges, result.circles), ())
+    for e in bedges:  # in id order, so each class's tuple is sorted
+        classes_out[glued["L"][span.l.amap[e]]] += (e,)
 
     rotation = None
     if rots is not None:

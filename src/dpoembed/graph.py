@@ -69,11 +69,14 @@ class Graph:
 
         Not a dataclass field, so equality, repr and serialization do not
         see it.  Tuples rather than sets keep the per-graph memory small.
+        Flags are built by `tuple.__new__`, which gives the same objects
+        as `Flag(e, end)` without the namedtuple's Python-level `__new__`.
         """
         inc: dict = {v: [] for v in self.vertices}
+        new = tuple.__new__
         for e, (s, t) in self.edges.items():
-            inc.setdefault(s, []).append(Flag(e, SRC))
-            inc.setdefault(t, []).append(Flag(e, TGT))
+            inc.setdefault(s, []).append(new(Flag, (e, SRC)))
+            inc.setdefault(t, []).append(new(Flag, (e, TGT)))
         return {v: tuple(fls) for v, fls in inc.items()}
 
     @cached_property

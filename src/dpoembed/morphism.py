@@ -103,6 +103,7 @@ def _flag_table(f: GraphMorphism):
     fm: Dict[Flag, Flag] = {}
     lax = []
     vmap, cod_edges = f.vmap, f.cod.edges
+    new = tuple.__new__
     for e, ends in sorted(f.dom.edges.items()):
         img = f.amap.get(e)
         if img is None:
@@ -117,7 +118,8 @@ def _flag_table(f: GraphMorphism):
                             f"edge {e} maps to circle {img} but vertex map "
                             f"is defined on its {end}"))
                 continue
-            fm[Flag(e, end)] = Flag(img, end)
+            # as in Graph.incidence: a Flag without its Python __new__
+            fm[new(Flag, (e, end))] = new(Flag, (img, end))
             if w != fv:
                 lax.append(("LaxNaturalityBroken", f"edge {e}.{end}: {w} != {fv}"))
     injective = len(set(fm.values())) == len(fm)

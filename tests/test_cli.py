@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from dpoembed import graph
+from dpoembed import cli, graph
 from dpoembed.cli import main
 from dpoembed.matcher import MAX_MATCHES
 from dpoembed.serialize import (
@@ -65,6 +68,15 @@ def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: document nested too deeply\n"
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n"
 
 
 @pytest.mark.parametrize("vertices", [[["a"]], "ab", [1, 2]],
@@ -461,6 +473,55 @@ def test_unsupported_format_version_is_named(capsys, tmp_path):
                    "(expected '1')\n")
 
 
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_lenient_call_leaves_the_next_call_strict(capsys, tmp_path):
+    payload = json.loads((FIXTURES / "graph_circle.json").read_text())
+    payload["body"]["note"] = "extra"
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(payload))
+    strict = run(capsys, "validate", str(loose))
+    assert strict[0] == 2
+    assert run(capsys, "--lenient", "validate", str(loose))[0] == 0
+    assert run(capsys, "validate", str(loose)) == strict
+
+
+def test_a_match_index_does_not_carry_over_to_the_next_rewrite(capsys):
+    path = fixture("match_identity_loop.json")
+    first = run(capsys, "rewrite", "--match", "0", path)
+    second = run(capsys, "rewrite", "--match", "1", path)
+    assert first[0] == second[0] == 0
+    assert first[1] != second[1]
+    assert run(capsys, "rewrite", path) == first
+
+
+def test_a_usage_error_leaves_the_parser_as_a_fresh_process_has_it(
+        capsys):
+    path = fixture("span_two_region.json")
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dpoembed.cli import main; sys.exit(main())",
+         "pushout", path],
+        capture_output=True, text=True, check=True,
+        env={**os.environ,
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    with pytest.raises(SystemExit) as err:
+        main(["pushout", "--no-such-flag", path])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "pushout", path) == (0, fresh.stdout, "")
+
+
+def test_a_patched_command_takes_effect_after_the_first_call(
+        capsys, monkeypatch):
+    path = fixture("graph_circle.json")
+    assert run(capsys, "validate", path)[0] == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+    assert run(capsys, "validate", path) == (7, "", "")
+
+
 def test_usage_error_without_command():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -470,10 +531,17 @@ def test_usage_error_without_command():
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_every_output_document_is_json_dumps_text(capsys, path):
     # the document writer gives json.dumps(sort_keys=True, indent=2) bytes
-    for argv in (["validate"], ["complement"], ["complement", "--rotations"],
-                 ["pushout", "--rotations"], ["repairings"],
-                 ["repairings", "--classify-genus"], ["match"], ["rewrite"],
-                 ["genus"], ["classify-morphism"]):
+    # every subcommand variant that prints a document
+    for argv in (["validate"], ["classify-morphism"], ["complement"],
+                 ["complement", "--solution", "0"],
+                 ["complement", "--solution", "3"],
+                 ["complement", "--rotations"], ["repairings"],
+                 ["repairings", "--classify-genus"],
+                 ["repairings", "--planar-only"], ["pushout"],
+                 ["pushout", "--rotations"], ["match"],
+                 ["match", "--rotations"], ["rewrite"],
+                 ["rewrite", "--rotations"], ["rewrite", "--solution", "1"],
+                 ["rewrite", "--match", "1"], ["genus"]):
         code, out, _ = run(capsys, *argv, str(path))
         if code == 0:
             assert out == json.dumps(json.loads(out), sort_keys=True,

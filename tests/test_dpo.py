@@ -27,7 +27,11 @@ from dpoembed import (
     validate_boundary_embedding,
     validate_rule,
 )
-from dpoembed.boundary import BoundaryEmbeddingInvariantViolated
+from dpoembed import dpo
+from dpoembed.boundary import (
+    BoundaryEmbeddingInvariantViolated,
+    SpanInvariantViolated,
+)
 from dpoembed.dpo import (
     ISO_MAX_VERTICES,
     NotABoundaryEmbedding,
@@ -77,6 +81,60 @@ def test_pushout_legs_commute_and_embed(two_region_span):
     assert classify(po.m).is_embedding
     assert classify(po.g).is_embedding
     assert (compose(po.m, span.l).key() == compose(po.g, span.c).key())
+
+
+def _far_context_span(b, left, l, extra_edges=None):
+    """L <= B => C with C a self-loop x at the dual vertex d, which both
+    boundary edges reach, and 200 arcs away from d: a 150-edge cycle and
+    50 circles."""
+    ring = [f"w{i:03d}" for i in range(150)]
+    edges = {f"r{i:03d}": (ring[i], ring[(i + 1) % 150]) for i in range(150)}
+    edges["x"] = ("d", "d")
+    edges.update(extra_edges or {})
+    ctx = graph(["d", *ring], edges, [f"o{i:02d}" for i in range(50)])
+    c = morphism(b.graph, ctx, {"dbd": "d"}, {"e1": "x", "e2": "x"})
+    return PartitioningSpan(b, left, ctx, l, c)
+
+
+def test_pushout_glues_only_the_arcs_the_boundary_reaches(
+        monkeypatch, two_edge_boundary, loop_left):
+    left, l = loop_left
+    span = _far_context_span(two_edge_boundary, left, l)
+    glued = []
+
+    def spy(items, pairs, key=None):
+        items = list(items)
+        glued.append(len(items))
+        return union_find(items, pairs, key)
+
+    union_find = dpo._union_find
+    monkeypatch.setattr(dpo, "_union_find", spy)
+    po = pushout(span)
+    assert glued and max(glued) <= 2 * len(two_edge_boundary.graph.edges)
+    far = [a for a in span.context.arcs() if a != "x"]
+    assert len(far) == 200
+    for a in far:
+        assert po.g.amap[a] == f"C.{a}"
+        assert po.arc_classes[f"C.{a}"] == ()
+        if span.context.is_edge(a):
+            s, t = span.context.edges[a]
+            assert po.graph.edges[f"C.{a}"] == (f"C.{s}", f"C.{t}")
+        else:
+            assert f"C.{a}" in po.graph.circles
+    # the glued class: L's loop a and C's loop x close into one circle
+    assert po.arc_classes["L.a"] == ("e1", "e2")
+    assert po.g.amap["x"] == po.m.amap["a"] == "L.a"
+    assert "L.a" in po.graph.circles
+
+
+def test_pushout_refuses_an_unreached_context_edge_at_the_dual_vertex(
+        two_edge_boundary, loop_left):
+    left, l = loop_left
+    span = _far_context_span(two_edge_boundary, left, l,
+                             {"z": ("d", "w000")})
+    with pytest.raises(SpanInvariantViolated) as err:
+        pushout(span)
+    assert ("LegNotEmbedding", "c") in err.value.args[0]
 
 
 def test_complement_of_circle_host(circle_host_embedding):

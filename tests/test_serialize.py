@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dpoembed import graph, identity, morphism
 from dpoembed.serialize import (
     _BODY_FIELDS,
+    _RUN_MIN,
+    _encode_run,
     Document,
     DocumentError,
     DocumentSyntaxError,
@@ -216,6 +218,68 @@ def test_print_document_is_json_dumps(body):
     ids=["float", "infinity", "int-keys", "nested-int-key", "escapes"])
 def test_print_document_falls_back_to_json_dumps(body):
     assert print_document(Document("trace", body)) == _dumped(body)
+
+
+# Containers holding a run of at least _RUN_MIN non-empty dicts of
+# strings or lists of strings: the runs the writer hands to the stdlib
+# encoder in one call.  Ids run through st.text(), so they hold
+# newlines, brackets and quotes.
+def _run_of(flat):
+    return st.lists(flat, min_size=_RUN_MIN, max_size=_RUN_MIN + 4)
+
+
+_STRING_DICT = st.dictionaries(st.text(), st.text(), min_size=1, max_size=3)
+_STRING_LIST = st.lists(st.text(), min_size=1, max_size=3)
+_RUN = (_run_of(_STRING_DICT) | _run_of(_STRING_LIST)
+        | _run_of(_STRING_LIST.map(tuple))
+        | _run_of(_STRING_DICT | _STRING_LIST))
+_RUN_CONTAINER = _RUN | _RUN.flatmap(lambda values: st.lists(
+    st.text(), min_size=len(values), max_size=len(values),
+    unique=True).map(lambda keys: dict(zip(keys, values))))
+
+
+@given(_RUN_CONTAINER, st.booleans())
+def test_print_document_writes_runs_of_flat_containers_as_json_dumps(
+        container, nested):
+    body = {"g": {"edges": container}} if nested else {"edges": container}
+    assert print_document(Document("trace", body)) == _dumped(body)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["depth1", "depth3"])
+@pytest.mark.parametrize("ident", ["},\n    {", "}", "\\", "\u00e9",
+                                   "\",\n      \"", "]"],
+                         ids=["separator", "brace", "backslash", "e-acute",
+                              "quoted-separator", "bracket"])
+def test_print_document_splits_an_encoded_run_exactly(ident, nested):
+    edges = {f"{ident}{j}": {"source": ident, "target": ident * j}
+             for j in range(_RUN_MIN)}
+    pairs = [[ident, f"{j}{ident}"] for j in range(_RUN_MIN)]
+    body = {"edges": edges, "pairs": pairs}
+    if nested:
+        body = {"g": {"h": body}}
+    for run in (list(edges.values()), pairs):
+        assert _encode_run(run, "\n  ") is not None
+    assert print_document(Document("trace", body)) == _dumped(body)
+
+
+_EDGE = {"source": "a", "target": "b"}
+
+
+@pytest.mark.parametrize("run", [
+    [_EDGE] * (_RUN_MIN - 1) + [{}],
+    [["a"]] * (_RUN_MIN - 1) + [[]],
+    [_EDGE] * (_RUN_MIN - 1) + [{"source": 1}],
+    [["a"]] * (_RUN_MIN - 1) + [["a", 2]],
+    [_EDGE] * (_RUN_MIN - 1) + [["a"]],
+    [_EDGE] * (_RUN_MIN - 1) + ["a"],
+    [_EDGE] * (_RUN_MIN - 1),
+], ids=["empty-dict", "empty-list", "int-in-dict", "int-in-list",
+        "dicts-and-lists", "bare-string", "below-the-minimum"])
+def test_print_document_writes_an_uneven_run_value_by_value(run):
+    assert _encode_run(run, "\n  ") is None
+    for body in ({"edges": run},
+                 {"g": {"edges": {str(j): v for j, v in enumerate(run)}}}):
+        assert print_document(Document("trace", body)) == _dumped(body)
 
 
 # Field names and ids the loaders read, so that generated values get
