@@ -15,6 +15,7 @@ from dpoembed.serialize import (
 )
 
 from conftest import FIXTURES, bouquet_embedding
+from golden import DOCUMENT_VARIANTS
 
 CORPUS = sorted(FIXTURES.glob("*.json"))
 
@@ -531,17 +532,7 @@ def test_usage_error_without_command():
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_every_output_document_is_json_dumps_text(capsys, path):
     # the document writer gives json.dumps(sort_keys=True, indent=2) bytes
-    # every subcommand variant that prints a document
-    for argv in (["validate"], ["classify-morphism"], ["complement"],
-                 ["complement", "--solution", "0"],
-                 ["complement", "--solution", "3"],
-                 ["complement", "--rotations"], ["repairings"],
-                 ["repairings", "--classify-genus"],
-                 ["repairings", "--planar-only"], ["pushout"],
-                 ["pushout", "--rotations"], ["match"],
-                 ["match", "--rotations"], ["rewrite"],
-                 ["rewrite", "--rotations"], ["rewrite", "--solution", "1"],
-                 ["rewrite", "--match", "1"], ["genus"]):
+    for argv in DOCUMENT_VARIANTS:
         code, out, _ = run(capsys, *argv, str(path))
         if code == 0:
             assert out == json.dumps(json.loads(out), sort_keys=True,
