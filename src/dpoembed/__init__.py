@@ -87,6 +87,7 @@ from .rotation import (
 from .matcher import (
     MatcherError,
     find_matches,
+    nth_match,
 )
 from .lawcheck import (
     GenBudget,

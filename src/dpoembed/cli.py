@@ -28,7 +28,7 @@ from .lawcheck import (
     UnknownLaw,
     run_all,
 )
-from .matcher import MatcherError, find_matches
+from .matcher import MatcherError, find_matches, nth_match
 from .morphism import classify
 from .rotation import RotationError, genus_report
 from .serialize import (
@@ -155,12 +155,16 @@ def cmd_rewrite(args) -> int:
     _, (rule, host, given, rots) = _parse(args.file, args.lenient,
                                           ("match",))
     rots = rots if args.rotations else None
-    # the list `match` prints with the same --rotations flag
-    candidates = given or find_matches(rule, host, rots)
-    if not 0 <= args.match < len(candidates):
-        raise CliFailure(
-            f"match index {args.match} not in [0, {len(candidates)})")
-    m = candidates[args.match].m
+    # the listed matches, or else the list `match` prints with the same
+    # --rotations flag, of which only the chosen match is built
+    if given:
+        count = len(given)
+        chosen = given[args.match] if 0 <= args.match < count else None
+    else:
+        count, chosen = nth_match(rule, host, args.match, rots)
+    if chosen is None:
+        raise CliFailure(f"match index {args.match} not in [0, {count})")
+    m = chosen.m
     _, trace = rewrite(rule, host, m, args.solution, rots)
     po = trace.result_pushout
     _emit(Document("trace", {

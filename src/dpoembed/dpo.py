@@ -27,7 +27,6 @@ from .graph import (
     _union_find,
     connected_components,
     graph,
-    induced_subgraph,
     validate_graph,
 )
 from .morphism import GraphMorphism, flag_map, morphism
@@ -72,9 +71,6 @@ class SizeLimitExceeded(DpoError):
 
 
 ISO_MAX_VERTICES = 64  # iso_check refuses larger graphs
-
-# the old name of the one refusal of a rule, a match or an embedding
-NotABoundaryEmbedding = BoundaryEmbeddingInvariantViolated
 
 
 def _check_embedding_rotations(be: BoundaryEmbedding, rots) -> None:
@@ -273,11 +269,11 @@ def _complement(be: BoundaryEmbedding, solution: PairingGraph,
     survivors = set(host.vertices) - matched_vertices
     dual = _fresh(b.dual_boundary, survivors, rest.vertices)
 
-    kept = induced_subgraph(host, survivors)
     image_arcs = set(be.m.amap.values())
     # matched arcs can touch surviving vertices (a matched self-loop at
     # an unmatched vertex), so filter by arc image, not just endpoints
-    edges = {e: st for e, st in kept.edges.items() if e not in image_arcs}
+    edges = {e: (s, t) for e, (s, t) in host.edges.items()
+             if e not in image_arcs and s in survivors and t in survivors}
     circles = {o for o in host.circles if o not in image_arcs}
 
     c_amap: Dict[str, str] = {}

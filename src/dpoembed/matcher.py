@@ -13,7 +13,9 @@ forces, the one at its cyclic offset from the vertex's first flag given
 rotations, or any; mapping a new edge places its far endpoint.
 Self-loops at the boundary image take any host arc.
 The rule is validated once per search.  A completed walk is an
-embedding by construction, so no candidate is classified.  The
+embedding by construction, so no candidate is classified.  The walk
+yields each match as its vertex and arc tables: `find_matches` builds
+every match, `nth_match` only the one it returns.  The
 brute-force oracle in `oracle` checks the search for soundness and
 completeness with its own naive match predicate.
 """
@@ -21,9 +23,9 @@ completeness with its own naive match predicate.
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import List, Optional, Tuple
 
-from .graph import SRC, Flag, Graph, degree, is_connected
+from .graph import SRC, Flag, Graph, is_connected
 from .morphism import morphism
 from .boundary import BoundaryEmbedding, RewriteRule, validate_rule
 from .rotation import Rotations, check_rotations, role_rotations
@@ -50,11 +52,10 @@ def _far_end(g: Graph, fl: Flag) -> str:
     return t if fl.end == SRC else s
 
 
-def find_matches(rule: RewriteRule, host: Graph,
-                 rotations: Rotations = None) -> List[BoundaryEmbedding]:
-    """All matches of the rule's left-hand side into the host, as
-    boundary embeddings sorted by match; with `rotations`, keyed "left"
-    and "host", only the rotation-preserving ones."""
+def _walk(rule: RewriteRule, host: Graph, rotations: Rotations):
+    """Each match of the rule's left-hand side into the host as its
+    (vertex map, arc map) tables, in walk order; raises at the first
+    match past the cap."""
     rots = role_rotations(rotations, ("left", "host"))
     left = rule.left
     if rots is not None:
@@ -65,80 +66,122 @@ def find_matches(rule: RewriteRule, host: Graph,
     # search: an invalid rule has no matches.  A valid rule's L holds
     # the boundary image, so, being connected, it has no circle.
     if validate_rule(rule) or not left.edges:
-        return []  # invalid rule, or nothing to anchor a match
+        return  # invalid rule, or nothing to anchor a match
     lb = rule.l.v(rule.b.boundary)
+    hedges, hinc, hverts = host.edges, host.incidence, host.vertices
 
+    # Each step's data, once per search: (vertex v, index k of the flag
+    # at v or None for a root, flag, far, vertex u, degree du).  A flag
+    # step's u is the flag's far endpoint, None for the boundary image,
+    # and a host flag with the flag's end has its far endpoint at index
+    # `far` of its edge's ends.  A root has only v and its degree du.
     flags = left.incidence if rots is None else rots[0].inc
-    if rots is not None:
-        offset = {fl: i for w in host.vertices
-                  for i, fl in enumerate(rots[1].rotation(w))}
     steps, seen = [], {lb}
     for root in [_far_end(left, fl) for fl in flags[lb]]:
         if root in seen:
             continue
         seen.add(root)
         component = [root]
-        steps.append((root, None))  # only a root takes a vertex step
+        steps.append((root, None, None, None, None,
+                      len(left.incidence[root])))
         for v in component:  # grows as the loop runs: breadth-first
-            steps += [(v, k) for k in range(len(flags[v]))]
-            for u in [_far_end(left, fl) for fl in flags[v]]:
+            for k, fl in enumerate(flags[v]):
+                u = _far_end(left, fl)
+                steps.append((v, k, fl, fl.end == SRC,
+                              None if u == lb else u,
+                              len(left.incidence[u])))
                 if u not in seen:
                     seen.add(u)
                     component.append(u)
+    if rots is not None:
+        offset = {fl: i for w in hverts
+                  for i, fl in enumerate(rots[1].rotation(w))}
+    # a root tries every host vertex of its degree, in id order
+    by_degree: dict = {}
+    for w in host.sorted_vertices():
+        by_degree.setdefault(len(hinc[w]), []).append(w)
     loops = [e for e, ends in left.edges.items() if ends == (lb, lb)]
-    host_vertices = host.sorted_vertices()
     host_arcs = host.arcs()
-    results: List[BoundaryEmbedding] = []
-
-    def fits(u, x, vmap):
-        return (x in host.vertices and x not in vmap.values()
-                and degree(host, x) == degree(left, u))
-
-    def leaves(vmap, amap):
-        # vmap covers exactly the interior, one to one; the walk keeps
-        # degrees and ends and takes each host flag once, so the map is
-        # total, laxly natural and flag bijective at every defined
-        # vertex: an embedding.  Loops at the boundary image have no
-        # defined end, so any arc will do, and distinct walks and loop
-        # images give distinct morphisms.
-        for imgs in itertools.product(host_arcs, repeat=len(loops)):
-            m = morphism(left, host, vmap, {**amap, **dict(zip(loops, imgs))})
-            results.append(BoundaryEmbedding(rule.b, left, host, rule.l, m))
-            if len(results) > MAX_MATCHES:
-                raise MatchLimitExceeded(f"more than {MAX_MATCHES} matches")
+    count, end = 0, len(steps)
 
     # Depth first over partial maps, each a fresh (step, vmap, amap, host
     # flags taken): an explicit stack, so L's size meets no recursion limit.
-    stack = [(0, {}, {}, frozenset())]
+    stack = [(0, {}, {}, ())]
     while stack:
         i, vmap, amap, taken = stack.pop()
-        if i == len(steps):
-            leaves(vmap, amap)
+        if i == end:
+            # vmap covers exactly the interior, one to one; the walk
+            # keeps degrees and ends and takes each host flag once, so
+            # the map is total, laxly natural and flag bijective at
+            # every defined vertex: an embedding.  Loops at the boundary
+            # image have no defined end, so any arc will do, and
+            # distinct walks and loop images give distinct morphisms.
+            for imgs in itertools.product(host_arcs, repeat=len(loops)):
+                count += 1
+                if count > MAX_MATCHES:
+                    raise MatchLimitExceeded(
+                        f"more than {MAX_MATCHES} matches")
+                yield vmap, ({**amap, **dict(zip(loops, imgs))} if loops
+                             else amap)
             continue
-        v, k = steps[i]
+        v, k, fl, far, u, du = steps[i]
         if k is None:  # a root; the edge that reached any other placed it
+            used = vmap.values()
             stack.extend((i + 1, {**vmap, v: w}, amap, taken)
-                         for w in host_vertices if fits(v, w, vmap))
+                         for w in by_degree.get(du, ()) if w not in used)
             continue
-        fl, w = flags[v][k], vmap[v]
-        e, u = fl.edge, _far_end(left, fl)
+        w, e, fend = vmap[v], fl.edge, fl.end
         if rots is not None and k:
             first, rot = flags[v][0], rots[1].rotation(w)
             at = offset[Flag(amap[first.edge], first.end)] + k
             candidates = [rot[at % len(rot)]]
         elif e in amap:
-            candidates = [Flag(amap[e], fl.end)]
+            candidates = [Flag(amap[e], fend)]
         else:
-            candidates = host.incidence[w]
+            candidates = hinc[w]
+        image = amap.get(e)
         for hfl in candidates:
-            if (hfl.end != fl.end or hfl in taken
-                    or amap.get(e, hfl.edge) != hfl.edge):
+            he = hfl.edge
+            if (hfl.end != fend or hfl in taken
+                    or (image is not None and image != he)):
                 continue
-            x, mapped = _far_end(host, hfl), {**amap, e: hfl.edge}
-            if u == lb or vmap.get(u) == x:
-                stack.append((i + 1, vmap, mapped, taken | {hfl}))
-            elif u not in vmap and fits(u, x, vmap):
-                stack.append((i + 1, {**vmap, u: x}, mapped, taken | {hfl}))
+            x, mapped = hedges[he][far], {**amap, e: he}
+            if u is None or vmap.get(u) == x:
+                stack.append((i + 1, vmap, mapped, taken + (hfl,)))
+            elif (u not in vmap and x in hverts
+                  and x not in vmap.values() and len(hinc[x]) == du):
+                stack.append((i + 1, {**vmap, u: x}, mapped, taken + (hfl,)))
 
-    results.sort(key=lambda be: be.m.key())
-    return results
+
+def _key(tables):
+    """The sort key of a match's tables: `GraphMorphism.key` of the
+    morphism they build."""
+    vmap, amap = tables
+    return tuple(sorted(vmap.items())), tuple(sorted(amap.items()))
+
+
+def _embedding(rule: RewriteRule, host: Graph, vmap, amap):
+    return BoundaryEmbedding(rule.b, rule.left, host, rule.l,
+                             morphism(rule.left, host, vmap, amap))
+
+
+def find_matches(rule: RewriteRule, host: Graph,
+                 rotations: Rotations = None) -> List[BoundaryEmbedding]:
+    """All matches of the rule's left-hand side into the host, as
+    boundary embeddings sorted by match; with `rotations`, keyed "left"
+    and "host", only the rotation-preserving ones."""
+    return [_embedding(rule, host, vmap, amap)
+            for vmap, amap in sorted(_walk(rule, host, rotations), key=_key)]
+
+
+def nth_match(rule: RewriteRule, host: Graph, i: int,
+              rotations: Rotations = None
+              ) -> Tuple[int, Optional[BoundaryEmbedding]]:
+    """(number of matches, `find_matches(rule, host, rotations)[i]`, or
+    None for an i outside [0, number of matches)); builds only that
+    one match."""
+    keys = sorted(map(_key, _walk(rule, host, rotations)))
+    if not 0 <= i < len(keys):
+        return len(keys), None
+    vmap, amap = keys[i]
+    return len(keys), _embedding(rule, host, dict(vmap), dict(amap))

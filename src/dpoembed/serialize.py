@@ -90,8 +90,8 @@ def graph_to_body(g: Graph,
                   rotations: Optional[RotationSystem] = None) -> Dict[str, Any]:
     body: Dict[str, Any] = {
         "vertices": g.sorted_vertices(),
-        "edges": {e: {"source": g.source(e), "target": g.target(e)}
-                  for e in g.sorted_edges()},
+        "edges": {e: {"source": s, "target": t}
+                  for e, (s, t) in sorted(g.edges.items())},
         "circles": g.sorted_circles(),
     }
     if rotations is not None:
@@ -127,6 +127,9 @@ def _string_map(body: Mapping, key: str, where: str) -> Dict[str, str]:
     return table
 
 
+_ENDS = frozenset(("source", "target"))  # the fields of an edge spec
+
+
 def graph_from_body(body: Mapping, where: str = "graph",
                     lenient: bool = False):
     """Returns (Graph, Optional[RotationSystem])."""
@@ -138,8 +141,14 @@ def graph_from_body(body: Mapping, where: str = "graph",
         raise FieldTypeError(f"{where}.edges: expected an object")
     edges = {}
     for e, spec in body["edges"].items():
-        _check_fields(spec, {"source", "target"}, (), f"{where}.edges.{e}",
-                      lenient)
+        # one test for the common well-formed spec; the checks below
+        # name what is wrong with any other, or let a lenient one pass
+        if (isinstance(spec, dict) and spec.keys() == _ENDS
+                and isinstance(spec["source"], str)
+                and isinstance(spec["target"], str)):
+            edges[e] = (spec["source"], spec["target"])
+            continue
+        _check_fields(spec, _ENDS, (), f"{where}.edges.{e}", lenient)
         edges[e] = (_string(spec["source"], f"{where}.edges.{e}.source"),
                     _string(spec["target"], f"{where}.edges.{e}.target"))
     g = graph(vertices, edges, circles)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dpoembed import cli, graph
+from dpoembed import cli, graph, matcher
 from dpoembed.cli import main
 from dpoembed.matcher import MAX_MATCHES
 from dpoembed.serialize import (
@@ -14,7 +14,7 @@ from dpoembed.serialize import (
     span_shaped_doc,
 )
 
-from conftest import FIXTURES, bouquet_embedding
+from conftest import FIXTURES, bouquet_embedding, count_calls
 from golden import DOCUMENT_VARIANTS
 
 CORPUS = sorted(FIXTURES.glob("*.json"))
@@ -328,6 +328,31 @@ def test_rewrite_on_listed_matches_is_rewrite_on_searched_ones(capsys,
         given = run(capsys, "rewrite", "--match", str(i), str(path))
         assert given[0] == 0
         assert given == run(capsys, "rewrite", "--match", str(i), original)
+
+
+def test_rewrite_searches_only_when_the_document_lists_no_matches(
+        capsys, monkeypatch, tmp_path):
+    _, listed, _ = run(capsys, "match", fixture("match_identity_loop.json"))
+    doc = json.loads(listed)
+    given, empty = tmp_path / "given.json", tmp_path / "empty.json"
+    given.write_text(listed)
+    doc["body"]["matches"] = []
+    empty.write_text(json.dumps(doc))
+    searches = count_calls(monkeypatch, matcher.nth_match)
+    results = {}
+    for path in (given, empty):
+        for i in ("3", "4", "-1"):
+            results[path.stem, i] = run(capsys, "rewrite", "--match", i,
+                                        str(path))
+        # a listed match is used as listed; an empty list means search
+        assert searches[0] == (0 if path == given else 3)
+    for path in ("given", "empty"):
+        assert results[path, "3"][0] == 0
+        assert results[path, "4"] == (
+            1, "", "error: match index 4 not in [0, 4)\n")
+        assert results[path, "-1"] == (
+            1, "", "error: match index -1 not in [0, 4)\n")
+    assert results["given", "3"] == results["empty", "3"]
 
 
 def test_rewrite_match_index_out_of_range(capsys):

@@ -34,7 +34,6 @@ from dpoembed.boundary import (
 )
 from dpoembed.dpo import (
     ISO_MAX_VERTICES,
-    NotABoundaryEmbedding,
     SizeLimitExceeded,
     SolutionIndexOutOfRange,
 )
@@ -166,7 +165,7 @@ def test_rewrite_identity_rule(loop_rule, mixed_host):
 
 def test_rewrite_rejects_non_match(loop_rule, mixed_host):
     bad = morphism(loop_rule.left, mixed_host, {"v": "x"}, {"a": "h"})
-    with pytest.raises(NotABoundaryEmbedding):
+    with pytest.raises(BoundaryEmbeddingInvariantViolated):
         rewrite(loop_rule, mixed_host, bad)
 
 
@@ -203,7 +202,7 @@ def test_rewrite_refuses_a_misdirected_rule_before_the_complement(
     m = find_matches(loop_rule, mixed_host)[0].m
     built = count_calls(monkeypatch, dpo._complement)
     for rule, failure in misdirected_rules:
-        with pytest.raises(NotABoundaryEmbedding) as err:
+        with pytest.raises(BoundaryEmbeddingInvariantViolated) as err:
             rewrite(rule, mixed_host, m)
         assert failure in err.value.args[0]
     assert built == [0]
@@ -241,7 +240,7 @@ def test_match_undefined_on_an_interior_vertex_is_refused(two_edge_boundary):
         pushout_complement(be)
     with pytest.raises(BoundaryEmbeddingInvariantViolated):
         classify_re_pairings(be, rots)
-    with pytest.raises(NotABoundaryEmbedding) as err:
+    with pytest.raises(BoundaryEmbeddingInvariantViolated) as err:
         rewrite(RewriteRule(b, left, left, l, l), host, m)
     assert err.value.args[0] == refusal
 

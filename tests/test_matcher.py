@@ -16,6 +16,7 @@ from dpoembed import (
     find_matches,
     graph,
     morphism,
+    nth_match,
     rotation_system,
     validate_rule,
 )
@@ -324,16 +325,26 @@ def _two_step_rule():
     return RewriteRule(b, left, left, l, l)
 
 
-def test_two_step_rule_walks_from_its_first_vertex(monkeypatch):
+class _CountingDict(dict):
+    """A dict that counts its subscript reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_two_step_rule_walks_from_its_first_vertex():
     # only u tries every host vertex; w is placed by the edge u -> w, so
-    # the degree queries grow linearly with the host, not quadratically
-    import dpoembed.matcher as matcher
-    calls = count_calls(monkeypatch, matcher.degree)
+    # the reads of the host's incidence grow linearly with the host, not
+    # quadratically
     counts = []
     for n in (50, 100):
-        calls[0] = 0
-        assert len(find_matches(_two_step_rule(), _cycle(n))) == n
-        counts.append(calls[0])
+        host = _cycle(n)
+        inc = host.__dict__["incidence"] = _CountingDict(host.incidence)
+        assert len(find_matches(_two_step_rule(), host)) == n
+        counts.append(inc.reads)
     assert counts[1] <= 2.2 * counts[0]
 
 
@@ -414,3 +425,60 @@ def test_find_matches_with_rotations_agrees_with_brute_force(which, host,
     expected = [be for be in brute_force_matches(rule, host)
                 if check_rot_morphism(be.m, rot_l, rot_h)]
     assert found == expected
+
+
+def _nth_match_corpus(mixed_host):
+    """(rule, host, rotations) instances: the matcher's rules on its
+    hosts, plain, and the rotation cases."""
+    rules = [_loop_rule(), _path_rule(), _spoked_rule(_boundary()),
+             _two_step_rule(), _bouquet_instance(3)[0], *_invalid_rules()]
+    hosts = [mixed_host, *_host_shapes(), _cycle(6), _bouquet_instance(3)[1]]
+    cases = [(rule, host, None) for rule in rules for host in hosts]
+    rule, host = _spoked_rule(_boundary()), _spoked_host()
+    cases += [(rule, host, {"left": rot_l, "host": rot_h})
+              for rot_l in all_rotations(rule.left)
+              for rot_h in all_rotations(host)]
+    cases.append(_bouquet_instance(3, rotated=True))
+    return cases
+
+
+def test_nth_match_is_the_nth_found_match(mixed_host):
+    found_any = 0
+    for rule, host, rotations in _nth_match_corpus(mixed_host):
+        found = find_matches(rule, host, rotations)
+        found_any += bool(found)
+        for i, be in enumerate(found):
+            assert nth_match(rule, host, i, rotations) == (len(found), be)
+        for i in (-1, len(found), len(found) + 5):
+            assert nth_match(rule, host, i, rotations) == (len(found), None)
+    assert found_any > 10
+
+
+def test_nth_match_counts_to_the_cap(loop_rule):
+    assert nth_match(loop_rule, _circles(MAX_MATCHES), MAX_MATCHES) == (
+        MAX_MATCHES, None)
+    with pytest.raises(MatchLimitExceeded,
+                       match=f"^more than {MAX_MATCHES} matches$"):
+        nth_match(loop_rule, _circles(MAX_MATCHES + 1), 0)
+
+
+def test_nth_match_builds_one_morphism(monkeypatch):
+    import dpoembed.matcher as matcher
+    rule, host = _path_rule(), _cycle(12)
+    built = count_calls(monkeypatch, matcher.morphism)
+    count, be = nth_match(rule, host, 7)
+    assert (count, built[0]) == (12, 1)
+    assert be == find_matches(rule, host)[7]
+    assert built[0] == 1 + 12
+
+
+def test_a_dangling_host_endpoint_is_no_match():
+    # an unvalidated host whose edges d and o meet at z, not a vertex:
+    # the walk never places w at z, though z has w's degree
+    host = graph(["b", "p"], {"i": ("b", "p"), "d": ("p", "z"),
+                              "o": ("z", "b")})
+    assert keys(find_matches(_two_step_rule(), host)) == [
+        ((("u", "b"), ("w", "p")), (("x", "o"), ("y", "i"), ("z", "d")))]
+    assert keys(find_matches(_path_rule(), host)) == [
+        ((("u", "b"),), (("x", "o"), ("y", "i"))),
+        ((("u", "p"),), (("x", "i"), ("y", "d")))]

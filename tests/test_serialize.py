@@ -12,10 +12,12 @@ from dpoembed.serialize import (
     Document,
     DocumentError,
     DocumentSyntaxError,
+    FieldTypeError,
     UnknownField,
     ValidationFailed,
     VersionMismatch,
     graph_doc,
+    graph_from_body,
     load_document,
     morphism_doc,
     parse_document,
@@ -160,6 +162,46 @@ def test_match_document_loads_rule_and_host():
     assert rule.left == rule.right
     assert host.vertices
     assert matches == []
+
+
+_MISSING_SOURCE = (ValidationFailed, "host.edges.e: missing field 'source'")
+_UNKNOWN_NOTE = (UnknownField, "host.edges.e: unknown field 'note'")
+_BAD_SOURCE = (FieldTypeError, "host.edges.e.source: expected a string")
+
+
+# (edge spec, (exception, message) strict, the same lenient or None)
+@pytest.mark.parametrize("spec, strict, lenient", [
+    ("a", (ValidationFailed, "host.edges.e: expected an object"), "same"),
+    (["a", "b"], (ValidationFailed, "host.edges.e: expected an object"),
+     "same"),
+    ({"target": "b"}, _MISSING_SOURCE, "same"),
+    ({"source": "a"},
+     (ValidationFailed, "host.edges.e: missing field 'target'"), "same"),
+    ({"note": 1}, _UNKNOWN_NOTE, _MISSING_SOURCE),
+    ({"source": "a", "target": "b", "note": 1}, _UNKNOWN_NOTE, None),
+    ({"source": 1, "target": "b"}, _BAD_SOURCE, "same"),
+    ({"source": "a", "target": 2},
+     (FieldTypeError, "host.edges.e.target: expected a string"), "same"),
+    ({"source": 1, "target": 2}, _BAD_SOURCE, "same"),
+    ({"source": None, "target": "b", "note": 1}, _UNKNOWN_NOTE, _BAD_SOURCE),
+], ids=["string", "list", "no-source", "no-target", "no-ends", "extra-key",
+        "bad-source", "bad-target", "both-bad", "extra-key-bad-source"])
+def test_a_malformed_edge_spec_is_named(spec, strict, lenient):
+    # the well-formed spec takes one test; any other goes through the
+    # field checks, which name its first fault, the source before the
+    # target
+    body = {"vertices": ["a", "b"], "edges": {"e": spec}}
+    for is_lenient, expected in ((False, strict),
+                                 (True, strict if lenient == "same"
+                                  else lenient)):
+        if expected is None:
+            g, _ = graph_from_body(body, "host", is_lenient)
+            assert g.edges == {"e": ("a", "b")}
+            continue
+        error, message = expected
+        with pytest.raises(error) as err:
+            graph_from_body(body, "host", is_lenient)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_load_document_names_a_missing_field():
