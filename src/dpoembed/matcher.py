@@ -153,16 +153,17 @@ def _walk(rule: RewriteRule, host: Graph, rotations: Rotations):
                 stack.append((i + 1, {**vmap, u: x}, mapped, taken + (hfl,)))
 
 
-def _key(tables):
-    """The sort key of a match's tables: `GraphMorphism.key` of the
-    morphism they build."""
-    vmap, amap = tables
-    return tuple(sorted(vmap.items())), tuple(sorted(amap.items()))
+def _sorted_keys(rule: RewriteRule, host: Graph, rotations: Rotations):
+    """The `GraphMorphism.key` of each match, sorted: the walk's tables
+    give it without building the morphism."""
+    return sorted((tuple(sorted(vmap.items())), tuple(sorted(amap.items())))
+                  for vmap, amap in _walk(rule, host, rotations))
 
 
-def _embedding(rule: RewriteRule, host: Graph, vmap, amap):
+def _embedding(rule: RewriteRule, host: Graph, key) -> BoundaryEmbedding:
+    vmap, amap = key
     return BoundaryEmbedding(rule.b, rule.left, host, rule.l,
-                             morphism(rule.left, host, vmap, amap))
+                             morphism(rule.left, host, dict(vmap), dict(amap)))
 
 
 def find_matches(rule: RewriteRule, host: Graph,
@@ -170,8 +171,8 @@ def find_matches(rule: RewriteRule, host: Graph,
     """All matches of the rule's left-hand side into the host, as
     boundary embeddings sorted by match; with `rotations`, keyed "left"
     and "host", only the rotation-preserving ones."""
-    return [_embedding(rule, host, vmap, amap)
-            for vmap, amap in sorted(_walk(rule, host, rotations), key=_key)]
+    return [_embedding(rule, host, key)
+            for key in _sorted_keys(rule, host, rotations)]
 
 
 def nth_match(rule: RewriteRule, host: Graph, i: int,
@@ -180,8 +181,7 @@ def nth_match(rule: RewriteRule, host: Graph, i: int,
     """(number of matches, `find_matches(rule, host, rotations)[i]`, or
     None for an i outside [0, number of matches)); builds only that
     one match."""
-    keys = sorted(map(_key, _walk(rule, host, rotations)))
+    keys = _sorted_keys(rule, host, rotations)
     if not 0 <= i < len(keys):
         return len(keys), None
-    vmap, amap = keys[i]
-    return len(keys), _embedding(rule, host, dict(vmap), dict(amap))
+    return len(keys), _embedding(rule, host, keys[i])
