@@ -136,8 +136,8 @@ def cmd_repairings(args) -> int:
                 replace(solved[0][0], red=frozenset())),
             "solutions": [serialize.solution_to_body(s) for s, _ in kept]}
     if classify_genus:
-        body["reports"] = [serialize.surface_report_doc(r).body
-                           for _, r in kept]
+        body["reports"] = serialize.surface_report_bodies(
+            [r for _, r in kept])
     _emit(Document("trace", body))
     return EXIT_OK
 

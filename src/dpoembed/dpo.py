@@ -22,6 +22,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import (
     EMPTY_GRAPH,
+    SRC,
+    TGT,
     Flag,
     Graph,
     _union_find,
@@ -29,7 +31,7 @@ from .graph import (
     graph,
     validate_graph,
 )
-from .morphism import GraphMorphism, flag_map, morphism
+from .morphism import GraphMorphism, morphism
 from .boundary import (
     POS,
     BoundaryEmbedding,
@@ -257,60 +259,88 @@ def pushout_complement(be: BoundaryEmbedding,
 
 
 def _complement(be: BoundaryEmbedding, solution: PairingGraph,
-                rots=None, rest: Graph = EMPTY_GRAPH) -> ComplementResult:
+                rots=None) -> ComplementResult:
     """`pushout_complement` of a checked embedding, a solution that
     extends its blue half and checked rotations, if any, on (boundary,
-    left, host); the context rotation is not validated.  When be.host
-    is the part of a larger host that m touches, `rest` is the other
-    part: the fresh ids avoid its ids too, so they are the ones the
-    whole host would get."""
-    host, b = be.host, be.b
-    matched_vertices = set(be.m.vmap.values())
-    survivors = set(host.vertices) - matched_vertices
-    dual = _fresh(b.dual_boundary, survivors, rest.vertices)
+    left, host); the context rotation is not validated.  It is
+    `_wiring`'s two steps, prepare and wire, and the two legs c: B -> C
+    and g: C -> G built from the wire's arc tables."""
+    dual, wire = _wiring(be, rots)
+    context, rotation, c_amap, g_amap = wire(solution)
+    c_map = morphism(be.b.graph, context, {be.b.dual_boundary: dual}, c_amap)
+    g_map = morphism(context, be.host,
+                     {v: v for v in context.vertices if v != dual}, g_amap)
+    return ComplementResult(context, dual, c_map, g_map, solution, rotation)
 
+
+def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
+    """The complement of a checked embedding in two steps: (dual id,
+    wire).
+
+    The prepare step, done here once, is what every re-pairing solution
+    shares: the survivors, the dual boundary's id, the surviving edges
+    and circles, the survivors' host rotations and B's rotation at the
+    dual boundary.  `wire(solution)` adds what differs between
+    solutions, the red loops at the dual and the edges from the dual to
+    the survivors, and returns (context, its rotation or None, c's arc
+    table, g's arc table).  A survivor's rotation is its host rotation
+    with each flag a new edge maps onto renamed to the new edge's flag;
+    the dual's is B's mapped through c.  No morphism or flag table is
+    built.
+
+    When be.host is the part of a larger host that m touches, `rest` is
+    the other part: the fresh ids avoid its ids too, so they are the
+    ones the whole host would get."""
+    host, b = be.host, be.b
+    survivors = host.vertices - set(be.m.vmap.values())
+    dual = _fresh(b.dual_boundary, survivors, rest.vertices)
+    vertices = survivors | {dual}
     image_arcs = set(be.m.amap.values())
     # matched arcs can touch surviving vertices (a matched self-loop at
     # an unmatched vertex), so filter by arc image, not just endpoints
-    edges = {e: (s, t) for e, (s, t) in host.edges.items()
-             if e not in image_arcs and s in survivors and t in survivors}
-    circles = {o for o in host.circles if o not in image_arcs}
-
-    c_amap: Dict[str, str] = {}
-    g_amap: Dict[str, str] = {a: a for a in itertools.chain(edges, circles)}
-    used = set(edges) | circles
-
-    for neg, pos in sorted(solution.red):
-        loop = _fresh(min(neg, pos), used, rest.edges, rest.circles)
-        used.add(loop)
-        edges[loop] = (dual, dual)
-        c_amap[neg] = loop
-        c_amap[pos] = loop
-        g_amap[loop] = be.image_arc(neg)
-
-    for e in red_unmatched_nodes(solution):
-        new = _fresh(e, used, rest.edges, rest.circles)
-        used.add(new)
-        a = be.image_arc(e)
-        if solution.polarity[e] == POS:
-            edges[new] = (host.source(a), dual)
-        else:
-            edges[new] = (dual, host.target(a))
-        c_amap[e] = new
-        g_amap[new] = a
-
-    context = graph(survivors | {dual}, edges, circles)
-    c_map = morphism(b.graph, context, {b.dual_boundary: dual}, c_amap)
-    g_map = morphism(context, host, {v: v for v in survivors}, g_amap)
-    rotation = None
+    kept = {e: (s, t) for e, (s, t) in host.edges.items()
+            if e not in image_arcs and s in survivors and t in survivors}
+    circles = host.circles - image_arcs
+    taken = set(kept) | circles
     if rots is not None:
-        inv = {w: fl for fl, w in flag_map(g_map).items()}
-        inc = {v: tuple(inv[fl] for fl in rots[2].rotation(w))
-               for v, w in g_map.vmap.items()}
-        c_fm = flag_map(c_map)
-        inc[dual] = tuple(c_fm[fl] for fl in rots[0].rotation(b.dual_boundary))
-        rotation = rotation_system(context, inc)
-    return ComplementResult(context, dual, c_map, g_map, solution, rotation)
+        host_inc = {v: rots[2].rotation(v) for v in survivors}
+        dual_rot = rots[0].rotation(b.dual_boundary)
+
+    def wire(solution: PairingGraph):
+        edges = dict(kept)
+        used = set(taken)
+        c_amap: Dict[str, str] = {}
+        g_amap: Dict[str, str] = {a: a for a in taken}
+        renamed: Dict[Flag, Flag] = {}  # host flag -> context flag
+        for neg, pos in sorted(solution.red):
+            loop = _fresh(min(neg, pos), used, rest.edges, rest.circles)
+            used.add(loop)
+            edges[loop] = (dual, dual)
+            c_amap[neg] = loop
+            c_amap[pos] = loop
+            g_amap[loop] = be.image_arc(neg)
+        for e in red_unmatched_nodes(solution):
+            new = _fresh(e, used, rest.edges, rest.circles)
+            used.add(new)
+            a = be.image_arc(e)
+            if solution.polarity[e] == POS:
+                edges[new] = (host.source(a), dual)
+                renamed[Flag(a, SRC)] = Flag(new, SRC)
+            else:
+                edges[new] = (dual, host.target(a))
+                renamed[Flag(a, TGT)] = Flag(new, TGT)
+            c_amap[e] = new
+            g_amap[new] = a
+        context = graph(vertices, edges, circles)
+        rotation = None
+        if rots is not None:
+            inc = {v: tuple(renamed.get(fl, fl) for fl in fls)
+                   for v, fls in host_inc.items()}
+            inc[dual] = tuple(Flag(c_amap[fl.edge], fl.end) for fl in dual_rot)
+            rotation = rotation_system(context, inc)
+        return context, rotation, c_amap, g_amap
+
+    return dual, wire
 
 
 def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
@@ -319,15 +349,17 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
     rotation-equipped complement, in deterministic order.
 
     The embedding is checked once by the enumeration, then the rotation
-    data once; each solution then runs through the unchecked complement
-    core, and `genus_report` validates its constructed rotation once.
+    data once; `genus_report` validates each solution's constructed
+    rotation once.
 
     Solutions differ only on the host components that m touches, and
     Euler's formula holds per component.  So the first solution's
-    complement is reported whole, and every other one only on the
-    touched components, with the untouched components' reports carried
-    over: O(host) once, then O(touched part + boundary edges) per
-    solution."""
+    complement is built by `_complement` and reported whole.  The touched
+    part is prepared once (`_wiring`), and every other solution is only
+    wired on it and reported there, with the untouched components'
+    reports carried over as the same objects: O(host) once, then
+    O(touched part + boundary edges) per solution, and no morphism or
+    flag table per solution."""
     rots = role_rotations(rotations or {}, ("boundary", "left", "host"))
     solutions = enumerate_re_pairings(be)
     _check_embedding_rotations(be, rots)
@@ -336,15 +368,14 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
     local_be = BoundaryEmbedding(
         be.b, be.left, touched, be.l,
         morphism(be.left, touched, be.m.vmap, be.m.amap))
-    local_rots = (rots[0], rots[1], rotation_system(
-        touched, {v: rots[2].rotation(v) for v in touched.vertices}))
+    # the wire reads host rotations at touched survivors only
+    _, wire = _wiring(local_be, rots, rest)
     kept = tuple(c for c in first.components
                  if (c.vertices[0] in rest.vertices if c.vertices
                      else c.arcs[0] in rest.circles))
     out = [(solutions[0], first)]
     for s in solutions[1:]:
-        local = genus_report(
-            _complement(local_be, s, local_rots, rest).rotation)
+        local = genus_report(wire(s)[1])
         # connected_components order: by least vertex, then circles
         out.append((s, _surface(sorted(
             local.components + kept,

@@ -140,33 +140,27 @@ def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
     successor in the rotation tells which dart leaves next.  Each of the
     two darts of every edge lies in exactly one face walk.  Circles are
     not traced here; see `genus_report` for their face convention.
+
+    The permutation is built once as a table, from the dart arriving at
+    each flag to the dart leaving by its successor, and every face walk
+    takes its darts out of the table.
     """
     g = validated_rotation(rs).graph
-    position: Dict[Flag, Tuple[str, int]] = {}
-    for v in g.sorted_vertices():
-        for i, fl in enumerate(rs.rotation(v)):
-            position[fl] = (v, i)
-
-    def next_dart(d: Dart) -> Dart:
-        e, direction = d
-        v, i = position[Flag(e, TGT if direction == FWD else SRC)]
+    step: Dict[Dart, Dart] = {}
+    for v in g.vertices:
         rot = rs.rotation(v)
-        nxt = rot[(i + 1) % len(rot)]
-        return (nxt.edge, FWD if nxt.end == SRC else REV)
-
-    todo = [(e, direction) for e in g.sorted_edges() for direction in (FWD, REV)]
-    seen = set()
+        for fl, nxt in zip(rot, rot[1:] + rot[:1]):
+            step[(fl.edge, FWD if fl.end == TGT else REV)] = (
+                nxt.edge, FWD if nxt.end == SRC else REV)
     faces = []
-    for start in todo:
-        if start in seen:
-            continue
-        walk = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            d = next_dart(d)
-        faces.append(tuple(walk))
+    for e in g.sorted_edges():
+        for d in ((e, FWD), (e, REV)):
+            walk = []
+            while d in step:
+                walk.append(d)
+                d = step.pop(d)
+            if walk:
+                faces.append(tuple(walk))
     return faces
 
 

@@ -253,9 +253,19 @@ def span_shaped_doc(obj, rots: Optional[Mapping[str, RotationSystem]] = None
 
 
 def surface_report_doc(report: SurfaceReport) -> Document:
-    return Document("surface_report", {
-        "components": [
-            {
+    return Document("surface_report", surface_report_bodies([report])[0])
+
+
+def surface_report_bodies(reports) -> list:
+    """The body of each surface report.  Each `ComponentReport` object
+    gets one body, which every report holding that object shares, so
+    `print_document` writes it once however many reports carry it."""
+    bodies: Dict[int, Dict[str, Any]] = {}
+
+    def component(c) -> Dict[str, Any]:
+        body = bodies.get(id(c))
+        if body is None:
+            body = bodies[id(c)] = {
                 "vertices": list(c.vertices),
                 "arcs": list(c.arcs),
                 "vertex_count": c.vertex_count,
@@ -265,12 +275,14 @@ def surface_report_doc(report: SurfaceReport) -> Document:
                 "euler_characteristic": c.euler_characteristic,
                 "genus": c.genus,
             }
-            for c in report.components
-        ],
+        return body
+
+    return [{
+        "components": [component(c) for c in report.components],
         "max_genus": report.max_genus,
         "is_planar": report.is_planar,
         "embedding_underdetermined": report.embedding_underdetermined,
-    })
+    } for report in reports]
 
 
 def law_report_doc(law: str, instances: int,
@@ -319,7 +331,7 @@ def print_document(doc: Document) -> str:
     }
     out: list = []
     try:
-        _write(payload, "\n", out)
+        _write(payload, "\n", out, {})
     except _NotPlain:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out.append("\n")
@@ -344,12 +356,17 @@ _is_str = str.__instancecheck__
 _RUN_MIN = 8
 
 
-def _write(value, nl: str, out: list) -> None:
+def _write(value, nl: str, out: list, seen: dict) -> None:
     """Append the text `json.dumps(value, sort_keys=True, indent=2)`
     gives for str, int, bool, None, lists, tuples and str-keyed dicts;
     `nl` is a newline plus the current indent.  A container of strings
     is one join, and a long run of flat containers one encoder call:
-    the stdlib encoder is pure Python whenever it indents."""
+    the stdlib encoder is pure Python whenever it indents.
+
+    A dict met again at the same indent is not written again.  `seen`
+    maps (id, indent) to where its first text lies in `out`; the second
+    sighting joins that span once and keeps the text for every later
+    one, so a dict written once costs no join."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -373,33 +390,47 @@ def _write(value, nl: str, out: list) -> None:
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            _write(x, inner, out)
+            _write(x, inner, out, seen)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        if not all(map(_is_str, value)):
-            raise _NotPlain
-        inner = nl + "  "
-        keys = sorted(value)
-        values = list(map(value.__getitem__, keys))
-        texts = (map(_quote, values) if all(map(_is_str, values))
-                 else _encode_run(values, inner))
-        if texts is not None:
-            out.append("{" + inner + ("," + inner).join(
-                map(str.__add__, map(_quote, keys),
-                    map(": ".__add__, texts))) + nl + "}")
+        key = (id(value), nl)
+        known = seen.get(key)
+        if known is None:
+            start = len(out)
+            _write_dict(value, nl, out, seen)
+            seen[key] = (start, len(out))
             return
-        sep = "{" + inner
-        for k, v in zip(keys, values):
-            out.append(sep + _quote(k) + ": ")
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
+        if isinstance(known, tuple):
+            known = seen[key] = "".join(out[known[0]:known[1]])
+        out.append(known)
     else:
         raise _NotPlain
+
+
+def _write_dict(value: dict, nl: str, out: list, seen: dict) -> None:
+    """`_write` of a non-empty dict."""
+    if not all(map(_is_str, value)):
+        raise _NotPlain
+    inner = nl + "  "
+    keys = sorted(value)
+    values = list(map(value.__getitem__, keys))
+    texts = (map(_quote, values) if all(map(_is_str, values))
+             else _encode_run(values, inner))
+    if texts is not None:
+        out.append("{" + inner + ("," + inner).join(
+            map(str.__add__, map(_quote, keys),
+                map(": ".__add__, texts))) + nl + "}")
+        return
+    sep = "{" + inner
+    for k, v in zip(keys, values):
+        out.append(sep + _quote(k) + ": ")
+        _write(v, inner, out, seen)
+        sep = "," + inner
+    out.append(nl + "}")
 
 
 def _encode_run(values, nl: str):
