@@ -30,10 +30,18 @@ from dpoembed.boundary import (
     BoundaryEmbeddingInvariantViolated,
     BoundaryGraph,
     PartitioningSpan,
+    red_unmatched_nodes,
 )
 from dpoembed.graph import connected_components, flags_at
-from dpoembed.lawcheck import GenBudget, _boundary, _build_side, _decos
+from dpoembed.lawcheck import (
+    GenBudget,
+    _boundary,
+    _build_side,
+    _decos,
+    gen_graphs,
+)
 from dpoembed.morphism import flag_map
+from dpoembed.oracle import all_rotations
 from dpoembed.rotation import FWD, REV, RotationError
 from dpoembed.serialize import read_document
 
@@ -149,6 +157,43 @@ def test_face_side_conservation_random():
         assert sorted(darts) == sorted(
             (e, direction) for e in g.edges for direction in (FWD, REV))
         genus_report(rs)  # no assertion failures on any random system
+
+
+def _naive_faces(rs):
+    """Face walks from the definition: every step looks the arrival
+    flag up in its vertex's rotation and leaves by the next flag."""
+    g = rs.graph
+    where = {fl: v for v in g.vertices for fl in rs.rotation(v)}
+
+    def after(d):
+        e, direction = d
+        fl = Flag(e, "tgt" if direction == FWD else "src")
+        rot = rs.rotation(where[fl])
+        nxt = rot[(rot.index(fl) + 1) % len(rot)]
+        return (nxt.edge, FWD if nxt.end == "src" else REV)
+
+    faces, seen = [], set()
+    for start in [(e, x) for e in sorted(g.edges) for x in (FWD, REV)]:
+        walk, d = [], start
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = after(d)
+        if walk:
+            faces.append(tuple(walk))
+    return faces
+
+
+def test_trace_faces_equals_the_naive_walk_on_every_small_rotation():
+    budget = GenBudget(max_vertices=3, max_edges=3, max_circles=1)
+    systems = [rs for g in gen_graphs(budget) for rs in all_rotations(g)]
+    assert len(systems) > 3000
+    for rs in systems:
+        faces = trace_faces(rs)
+        assert faces == _naive_faces(rs)
+        darts = [d for walk in faces for d in walk]
+        assert sorted(darts) == sorted(
+            (e, x) for e in rs.graph.edges for x in (FWD, REV))
 
 
 def test_check_rot_morphism_identity():
@@ -273,6 +318,104 @@ def test_classify_re_pairings_agrees_with_rot_complement():
     for i, (_, report) in enumerate(out):
         comp = pushout_complement(be, i, rots)
         assert report == genus_report(comp.rotation)
+
+
+def test_classify_re_pairings_builds_no_morphism_per_solution(monkeypatch):
+    # the first solution's complement and the touched part's match are
+    # morphisms; every other solution is wired from arc tables
+    built = {}
+    for k in (4, 5):
+        args = _bouquet_on_circle(k)
+        calls = count_calls(monkeypatch, morphism)
+        assert len(classify_re_pairings(*args)) == math.factorial(k - 1)
+        built[k] = calls[0]
+        monkeypatch.undo()
+    assert built[4] == built[5]
+
+
+def _bouquet_on_chord(k, seed):
+    """k loops at v, all matched onto the chord u0 -> u3 of a 6-cycle,
+    beside an untouched triangle and a circle, with seeded random
+    rotations on B, and so on L, and on the host: k! re-pairing
+    solutions, whose dangling edges to u0 and u3 come from different
+    unmatched red nodes."""
+    rng = random.Random(seed)
+    b_edges = {}
+    for j in range(k):
+        b_edges[f"p{j}"] = ("bnd", "dbd")
+        b_edges[f"n{j}"] = ("dbd", "bnd")
+    b = BoundaryGraph(graph(["bnd", "dbd"], b_edges), "bnd", "dbd")
+    left = graph(["v"], {f"a{j}": ("v", "v") for j in range(k)})
+    l = morphism(b.graph, left, {"bnd": "v"},
+                 {e: f"a{e[1:]}" for e in b_edges})
+    edges = {f"c{i}": (f"u{i}", f"u{(i + 1) % 6}") for i in range(6)}
+    edges.update({f"s{i}": (f"t{i}", f"t{(i + 1) % 3}") for i in range(3)})
+    edges["h"] = ("u0", "u3")
+    host = graph([f"u{i}" for i in range(6)] + ["t0", "t1", "t2"], edges,
+                 ["o"])
+    m = morphism(left, host, {}, {f"a{j}": "h" for j in range(k)})
+    rot_b = rotation_system(b.graph, {
+        v: _shuffled(rng, flags_at(b.graph, v)) for v in b.graph.vertices})
+    lm = flag_map(l)
+    rot_l = rotation_system(left, {
+        "v": [lm[fl] for fl in rot_b.rotation("bnd")]})
+    rot_h = rotation_system(host, {
+        v: _shuffled(rng, flags_at(host, v)) for v in host.vertices})
+    return (BoundaryEmbedding(b, left, host, l, m),
+            {"boundary": rot_b, "left": rot_l, "host": rot_h})
+
+
+def _rotation_from_legs(be, comp, rots):
+    """The context rotation read off the complement's legs: a survivor's
+    host rotation through the inverse of g's flag map, and B's rotation
+    at the dual boundary through c's flag map."""
+    inv = {w: fl for fl, w in flag_map(comp.g).items()}
+    inc = {v: [inv[fl] for fl in rots["host"].rotation(w)]
+           for v, w in comp.g.vmap.items()}
+    c_fm = flag_map(comp.c)
+    inc[comp.dual_boundary] = [
+        c_fm[fl] for fl in rots["boundary"].rotation(be.b.dual_boundary)]
+    return rotation_system(comp.context, inc)
+
+
+def _classified_as_each_complement(be, rots):
+    """classify_re_pairings(be, rots), checked solution by solution
+    against the whole complement: its rotation is the one its legs
+    give, and its genus report is the classified one."""
+    out = classify_re_pairings(be, rots)
+    assert [s for s, _ in out] == enumerate_re_pairings(be)
+    for i, (_, report) in enumerate(out):
+        comp = pushout_complement(be, i, rots)
+        assert comp.rotation == _rotation_from_legs(be, comp, rots)
+        assert report == genus_report(comp.rotation)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_classify_re_pairings_on_loops_onto_a_host_edge(k, seed):
+    be, rots = _bouquet_on_chord(k, seed)
+    out = _classified_as_each_complement(be, rots)
+    assert len(out) == math.factorial(k)
+    assert len({tuple(red_unmatched_nodes(s)) for s, _ in out}) > 1
+    # the 6-cycle with the dual, the triangle and the circle
+    assert {len(r.components) for _, r in out} == {3}
+
+
+def test_classify_re_pairings_on_the_chord_fixture():
+    _, (be, rots) = read_document(
+        (FIXTURES / "boundary_embedding_chord_bouquet.json").read_text())
+    out = _classified_as_each_complement(be, rots)
+    assert [r.max_genus for _, r in out] == [1, 0, 0, 1, 1, 0]
+    # the untouched components are the same objects in every report
+    for _, report in out[1:]:
+        assert all(a is b for a, b in zip(report.components[1:],
+                                          out[0][1].components[1:]))
+
+
+def test_classify_re_pairings_on_random_embeddings_matches_the_legs():
+    for seed in range(60):
+        _classified_as_each_complement(*_random_rotated_embedding(seed))
 
 
 def test_classify_re_pairings_checks_embedding_before_rotations():

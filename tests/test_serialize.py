@@ -9,6 +9,7 @@ from dpoembed.serialize import (
     _BODY_FIELDS,
     _RUN_MIN,
     _encode_run,
+    _write,
     Document,
     DocumentError,
     DocumentSyntaxError,
@@ -322,6 +323,45 @@ def test_print_document_writes_an_uneven_run_value_by_value(run):
     for body in ({"edges": run},
                  {"g": {"edges": {str(j): v for j, v in enumerate(run)}}}):
         assert print_document(Document("trace", body)) == _dumped(body)
+
+
+def _shared_bodies():
+    """Bodies holding one object at several places: the dicts the
+    writer reuses the text of, and a list it writes each time."""
+    d = {"n": 1, "ids": ["a", "b"], "t": None, "flat": {"k": "v"}}
+    inner = {"x": [1, "y"], "z": True}
+    outer = {"inner": inner, "k": 2, "again": [inner, inner]}
+    shared_list = [d, 3, ["s"]]
+    return {
+        "twice": {"reports": [d, d]},
+        "three-times": {"reports": [d, d, d], "other": [1, {"n": 1}]},
+        "two-indents": {"a": d, "b": {"c": d}, "d": [[d]]},
+        "nested": {"x": [outer, outer, inner, {"y": inner}], "z": outer},
+        "list": {"a": shared_list, "b": shared_list,
+                 "c": [shared_list, shared_list]},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_bodies()))
+def test_print_document_writes_a_repeated_object_as_json_dumps(name):
+    body = _shared_bodies()[name]
+    assert print_document(Document("trace", body)) == _dumped(body)
+
+
+@given(_PLAIN, st.integers(1, 4))
+def test_print_document_writes_any_repeated_value_as_json_dumps(value, n):
+    body = {"a": value, "b": [value] * n, "c": {"d": value, "e": [value]}}
+    assert print_document(Document("trace", body)) == _dumped(body)
+
+
+def test_writer_joins_a_dict_only_from_its_second_sighting():
+    d = {"n": 1, "ids": ["a", "b"]}
+    payload = {"once": {"m": 2}, "many": [d, d, d]}
+    out, seen = [], {}
+    _write(payload, "\n", out, seen)
+    assert "".join(out) == json.dumps(payload, sort_keys=True, indent=2)
+    texts = {key for key, known in seen.items() if isinstance(known, str)}
+    assert texts == {(id(d), "\n    ")}
 
 
 # Field names and ids the loaders read, so that generated values get
