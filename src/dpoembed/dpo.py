@@ -302,6 +302,9 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
             if e not in image_arcs and s in survivors and t in survivors}
     circles = host.circles - image_arcs
     taken = set(kept) | circles
+    # in id order, as the edges are, so that `morphism` sorts g's arc
+    # table in linear time
+    kept_amap = {a: a for a in itertools.chain(kept, circles)}
     if rots is not None:
         host_inc = {v: rots[2].rotation(v) for v in survivors}
         dual_rot = rots[0].rotation(b.dual_boundary)
@@ -310,7 +313,7 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
         edges = dict(kept)
         used = set(taken)
         c_amap: Dict[str, str] = {}
-        g_amap: Dict[str, str] = {a: a for a in taken}
+        g_amap = dict(kept_amap)
         renamed: Dict[Flag, Flag] = {}  # host flag -> context flag
         for neg, pos in sorted(solution.red):
             loop = _fresh(min(neg, pos), used, rest.edges, rest.circles)
