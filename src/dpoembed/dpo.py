@@ -301,7 +301,6 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
     kept = {e: (s, t) for e, (s, t) in host.edges.items()
             if e not in image_arcs and s in survivors and t in survivors}
     circles = host.circles - image_arcs
-    taken = set(kept) | circles
     # in id order, as the edges are, so that `morphism` sorts g's arc
     # table in linear time
     kept_amap = {a: a for a in itertools.chain(kept, circles)}
@@ -311,20 +310,18 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
 
     def wire(solution: PairingGraph):
         edges = dict(kept)
-        used = set(taken)
         c_amap: Dict[str, str] = {}
         g_amap = dict(kept_amap)
         renamed: Dict[Flag, Flag] = {}  # host flag -> context flag
         for neg, pos in sorted(solution.red):
-            loop = _fresh(min(neg, pos), used, rest.edges, rest.circles)
-            used.add(loop)
+            loop = _fresh(min(neg, pos), edges, circles, rest.edges,
+                          rest.circles)
             edges[loop] = (dual, dual)
             c_amap[neg] = loop
             c_amap[pos] = loop
             g_amap[loop] = be.image_arc(neg)
         for e in red_unmatched_nodes(solution):
-            new = _fresh(e, used, rest.edges, rest.circles)
-            used.add(new)
+            new = _fresh(e, edges, circles, rest.edges, rest.circles)
             a = be.image_arc(e)
             if solution.polarity[e] == POS:
                 edges[new] = (host.source(a), dual)
