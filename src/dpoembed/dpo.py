@@ -301,8 +301,8 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
     kept = {e: (s, t) for e, (s, t) in host.edges.items()
             if e not in image_arcs and s in survivors and t in survivors}
     circles = host.circles - image_arcs
-    # in id order, as the edges are, so that `morphism` sorts g's arc
-    # table in linear time
+    # the host's edges come in id order, so this table nearly does too,
+    # and `morphism` sorts g's arc table in about linear time
     kept_amap = {a: a for a in itertools.chain(kept, circles)}
     if rots is not None:
         host_inc = {v: rots[2].rotation(v) for v in survivors}
