@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import (
-    EMPTY_GRAPH,
     SRC,
     TGT,
     Flag,
     Graph,
     _union_find,
-    connected_components,
     graph,
     validate_graph,
 )
@@ -273,7 +271,7 @@ def _complement(be: BoundaryEmbedding, solution: PairingGraph,
     return ComplementResult(context, dual, c_map, g_map, solution, rotation)
 
 
-def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
+def _wiring(be: BoundaryEmbedding, rots=None, rest=((), ())):
     """The complement of a checked embedding in two steps: (dual id,
     wire).
 
@@ -289,11 +287,12 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
     built.
 
     When be.host is the part of a larger host that m touches, `rest` is
-    the other part: the fresh ids avoid its ids too, so they are the
-    ones the whole host would get."""
+    (vertex ids, arc ids) of the other part: the fresh ids avoid them
+    too, so they are the ones the whole host would get."""
     host, b = be.host, be.b
     survivors = host.vertices - set(be.m.vmap.values())
-    dual = _fresh(b.dual_boundary, survivors, rest.vertices)
+    rest_vertices, rest_arcs = rest
+    dual = _fresh(b.dual_boundary, survivors, rest_vertices)
     vertices = survivors | {dual}
     image_arcs = set(be.m.amap.values())
     # matched arcs can touch surviving vertices (a matched self-loop at
@@ -308,27 +307,29 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
         host_inc = {v: rots[2].rotation(v) for v in survivors}
         dual_rot = rots[0].rotation(b.dual_boundary)
 
+    # flags by `tuple.__new__`, as `Graph.incidence` builds them
+    flag = tuple.__new__
+
     def wire(solution: PairingGraph):
         edges = dict(kept)
         c_amap: Dict[str, str] = {}
         g_amap = dict(kept_amap)
         renamed: Dict[Flag, Flag] = {}  # host flag -> context flag
         for neg, pos in sorted(solution.red):
-            loop = _fresh(min(neg, pos), edges, circles, rest.edges,
-                          rest.circles)
+            loop = _fresh(min(neg, pos), edges, circles, rest_arcs)
             edges[loop] = (dual, dual)
             c_amap[neg] = loop
             c_amap[pos] = loop
             g_amap[loop] = be.image_arc(neg)
         for e in red_unmatched_nodes(solution):
-            new = _fresh(e, edges, circles, rest.edges, rest.circles)
+            new = _fresh(e, edges, circles, rest_arcs)
             a = be.image_arc(e)
             if solution.polarity[e] == POS:
                 edges[new] = (host.source(a), dual)
-                renamed[Flag(a, SRC)] = Flag(new, SRC)
+                renamed[flag(Flag, (a, SRC))] = flag(Flag, (new, SRC))
             else:
                 edges[new] = (dual, host.target(a))
-                renamed[Flag(a, TGT)] = Flag(new, TGT)
+                renamed[flag(Flag, (a, TGT))] = flag(Flag, (new, TGT))
             c_amap[e] = new
             g_amap[new] = a
         context = graph(vertices, edges, circles)
@@ -336,7 +337,8 @@ def _wiring(be: BoundaryEmbedding, rots=None, rest: Graph = EMPTY_GRAPH):
         if rots is not None:
             inc = {v: tuple(renamed.get(fl, fl) for fl in fls)
                    for v, fls in host_inc.items()}
-            inc[dual] = tuple(Flag(c_amap[fl.edge], fl.end) for fl in dual_rot)
+            inc[dual] = tuple(flag(Flag, (c_amap[fl.edge], fl.end))
+                              for fl in dual_rot)
             rotation = rotation_system(context, inc)
         return context, rotation, c_amap, g_amap
 
@@ -350,31 +352,36 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
 
     The embedding is checked once by the enumeration, then the rotation
     data once; `genus_report` validates each solution's constructed
-    rotation once.
+    rotation once, and reads the host rotation's cached report.
 
     Solutions differ only on the host components that m touches, and
-    Euler's formula holds per component.  So the first solution's
-    complement is built by `_complement` and reported whole.  The touched
-    part is prepared once (`_wiring`), and every other solution is only
-    wired on it and reported there, with the untouched components'
-    reports carried over as the same objects: O(host) once, then
-    O(touched part + boundary edges) per solution, and no morphism or
-    flag table per solution."""
+    Euler's formula holds per component.  So the host is reported once,
+    from its own rotation, and its component reports are split into the
+    touched ones, which meet m's vertex or arc image, and the kept ones.
+    The touched part is prepared once (`_wiring`), and every solution is
+    wired on it and reported there, with the kept reports merged in as
+    the same objects: O(host) once, then O(touched part + boundary
+    edges) per solution, one morphism per call (m onto the touched
+    part) and no flag table."""
     rots = role_rotations(rotations or {}, ("boundary", "left", "host"))
     solutions = enumerate_re_pairings(be)
     _check_embedding_rotations(be, rots)
-    first = genus_report(_complement(be, solutions[0], rots).rotation)
-    touched, rest = _split_host(be)
-    local_be = BoundaryEmbedding(
-        be.b, be.left, touched, be.l,
-        morphism(be.left, touched, be.m.vmap, be.m.amap))
+    vimg, aimg = set(be.m.vmap.values()), set(be.m.amap.values())
+    touched, kept = [], []
+    for c in genus_report(rots[2]).components:
+        (kept if vimg.isdisjoint(c.vertices) and aimg.isdisjoint(c.arcs)
+         else touched).append(c)
+    host = be.host
+    vertices, arcs = _ids(touched)
+    part = graph(vertices, {a: host.edges[a] for a in arcs if a in host.edges},
+                 arcs.intersection(host.circles))
+    local_be = BoundaryEmbedding(be.b, be.left, part, be.l,
+                                 morphism(be.left, part, be.m.vmap, be.m.amap))
     # the wire reads host rotations at touched survivors only
-    _, wire = _wiring(local_be, rots, rest)
-    kept = tuple(c for c in first.components
-                 if (c.vertices[0] in rest.vertices if c.vertices
-                     else c.arcs[0] in rest.circles))
-    out = [(solutions[0], first)]
-    for s in solutions[1:]:
+    _, wire = _wiring(local_be, rots, _ids(kept))
+    kept = tuple(kept)
+    out = []
+    for s in solutions:
         local = genus_report(wire(s)[1])
         # connected_components order: by least vertex, then circles
         out.append((s, _surface(sorted(
@@ -384,19 +391,10 @@ def classify_re_pairings(be: BoundaryEmbedding, rotations: Rotations
     return out
 
 
-def _split_host(be: BoundaryEmbedding) -> Tuple[Graph, Graph]:
-    """The host's components that meet m's vertex or arc image, and the
-    others, as two graphs."""
-    vimg, aimg = set(be.m.vmap.values()), set(be.m.amap.values())
-    parts = ((set(), set()), (set(), set()))  # touched, rest
-    for vs, arcs in connected_components(be.host):
-        vset, aset = parts[0 if vs & vimg or arcs & aimg else 1]
-        vset |= vs
-        aset |= arcs
-    host = be.host
-    return tuple(graph(vs, {a: host.edges[a] for a in arcs if host.is_edge(a)},
-                       (a for a in arcs if host.is_circle(a)))
-                 for vs, arcs in parts)
+def _ids(reports) -> Tuple[set, set]:
+    """(vertex ids, arc ids) of the components `reports` describe."""
+    return (set(itertools.chain.from_iterable(c.vertices for c in reports)),
+            set(itertools.chain.from_iterable(c.arcs for c in reports)))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ orientation and can change the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .graph import (
@@ -34,10 +35,20 @@ class RotationError(Exception):
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A graph together with a cyclic flag order at every vertex."""
+    """A graph together with a cyclic flag order at every vertex.
+
+    `inc` is never written after construction, so the rotation's
+    validity is computed once: `report` is `validate_rotation(self)`,
+    built on first use and kept on this instance, as `Graph.incidence`
+    is.  It is not a dataclass field, so equality and repr ignore it.
+    """
 
     graph: Graph
     inc: Mapping[str, Tuple[Flag, ...]]
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        return validate_rotation(self)
 
     def rotation(self, v: str) -> Tuple[Flag, ...]:
         return tuple(self.inc.get(v, ()))
@@ -113,7 +124,7 @@ def check_rotations(what: str, rots, graphs, legs) -> None:
     """Each rotation system is valid on its graph, and each leg (name,
     morphism, domain index, codomain index) preserves them."""
     for rs, g in zip(rots, graphs):
-        if rs.graph != g or not validate_rotation(rs).ok:
+        if rs.graph != g or not rs.report.ok:
             raise RotationError(f"invalid rotation data for {what}")
     for name, f, i, j in legs:
         if not check_rot_morphism(f, rots[i], rots[j]):
@@ -121,8 +132,8 @@ def check_rotations(what: str, rots, graphs, legs) -> None:
 
 
 def validated_rotation(rs: RotationSystem) -> RotationSystem:
-    """`rs`, once `validate_rotation` passes it."""
-    report = validate_rotation(rs)
+    """`rs`, once its cached `validate_rotation` report passes it."""
+    report = rs.report
     if not report.ok:
         raise RotationError(report.errors)
     return rs

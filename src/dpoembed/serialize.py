@@ -26,7 +26,7 @@ from .boundary import (
     validate_rule,
     validate_span,
 )
-from .rotation import RotationSystem, SurfaceReport, rotation_system, validate_rotation
+from .rotation import RotationSystem, SurfaceReport, rotation_system
 
 FORMAT_VERSION = "1"
 
@@ -83,7 +83,8 @@ def _flag_from_token(token: str, where: str) -> Flag:
     edge, dot, end = token.rpartition(".")
     if not dot or end not in (SRC, TGT):
         raise ValidationFailed(f"{where}: bad flag token {token!r}")
-    return Flag(edge, end)
+    # as `Graph.incidence` builds flags, without the namedtuple's __new__
+    return tuple.__new__(Flag, (edge, end))
 
 
 def graph_to_body(g: Graph,
@@ -166,7 +167,7 @@ def graph_from_body(body: Mapping, where: str = "graph",
             for v in rotations
         }
         rs = rotation_system(g, inc)
-        rreport = validate_rotation(rs)
+        rreport = rs.report
         if not rreport.ok:
             raise ValidationFailed(f"{where}: {rreport.errors}")
     return g, rs
@@ -350,9 +351,10 @@ _is_str = str.__instancecheck__
 # call to the stdlib's C encoder (`_encode_run`).  Measured crossover
 # (Python 3.11): lists of two-string pairs break even at 6 pairs (4.9
 # us either way) and gain from 8 on (6.3 -> 5.5 us); `edges` dicts gain
-# from 4 on.  Below the minimum the per-value path stays, so the 6-pair
-# `blue`/`red` lists that `repairings --classify-genus` writes for each
-# solution do not pay the encoder's set-up.
+# from 4 on.  Below the minimum a run of lists is one join per list,
+# which the 6-pair `blue`/`red` lists that `repairings --classify-genus`
+# writes for each solution take, and a run of dicts is written value by
+# value.
 _RUN_MIN = 8
 
 
@@ -360,8 +362,9 @@ def _write(value, nl: str, out: list, seen: dict) -> None:
     """Append the text `json.dumps(value, sort_keys=True, indent=2)`
     gives for str, int, bool, None, lists, tuples and str-keyed dicts;
     `nl` is a newline plus the current indent.  A container of strings
-    is one join, and a long run of flat containers one encoder call:
-    the stdlib encoder is pure Python whenever it indents.
+    is one join, a short run of string lists one join per list, and a
+    long run of flat containers one encoder call: the stdlib encoder is
+    pure Python whenever it indents.
 
     A dict met again at the same indent is not written again.  `seen`
     maps (id, indent) to where its first text lies in `out`; the second
@@ -435,19 +438,20 @@ def _write_dict(value: dict, nl: str, out: list, seen: dict) -> None:
 
 def _encode_run(values, nl: str):
     """The texts `_write` gives for each of `values` at indent `nl`, if
-    there are at least `_RUN_MIN` of them and they are all non-empty
-    dicts from strings to strings or all non-empty lists (or all
-    tuples) of strings; otherwise None.
+    they are all non-empty lists (or all tuples) of strings, or at least
+    `_RUN_MIN` non-empty dicts from strings to strings; otherwise None.
 
-    One call to the C encoder writes them all, with the separator the
-    members of each value need, "," plus a newline and their indent.
-    The same separator then stands between the values, after a closing
-    and before an opening bracket; inside a value it follows a string.
-    An encoded string holds no raw newline, so splitting there is exact.
+    Fewer than `_RUN_MIN` lists are joined one by one.  A longer run is
+    one call to the C encoder, with the separator the members of each
+    value need, "," plus a newline and their indent.  The same separator
+    then stands between the values, after a closing and before an
+    opening bracket; inside a value it follows a string.  An encoded
+    string holds no raw newline, so splitting there is exact.
     """
-    if len(values) < _RUN_MIN or not all(values):
+    if not all(values):
         return None
-    if all(map(dict.__instancecheck__, values)):
+    short = len(values) < _RUN_MIN
+    if not short and all(map(dict.__instancecheck__, values)):
         opening, closing = "{", "}"
         members = itertools.chain(
             itertools.chain.from_iterable(values),
@@ -462,10 +466,12 @@ def _encode_run(values, nl: str):
         return None
     inner = nl + "  "
     sep = "," + inner
+    head, tail = opening + inner, nl + closing
+    if short:
+        return [head + sep.join(map(_quote, x)) + tail for x in values]
     # members are strings, so no value can hold itself
     text = json.JSONEncoder(sort_keys=True, separators=(sep, ": "),
                             check_circular=False).encode(values)
-    head, tail = opening + inner, nl + closing
     # text is "[" + opening + ... + closing + "]"
     return [head + body + tail
             for body in text[2:-2].split(closing + sep + opening)]

@@ -277,6 +277,20 @@ def test_repairings_classify_genus(capsys):
     assert body["reports"][0]["is_planar"] is False
 
 
+def test_repairings_classify_genus_validates_each_rotation_once(
+        capsys, monkeypatch):
+    # the three rotations the document carries, as it is loaded, then
+    # each of the six solutions' constructed rotation; the checks and
+    # the host report read the loaded rotations' cached reports
+    from dpoembed.rotation import validate_rotation
+    calls = count_calls(monkeypatch, validate_rotation)
+    code, out, _ = run(capsys, "repairings", "--classify-genus",
+                       fixture("boundary_embedding_chord_bouquet.json"))
+    assert code == 0
+    assert len(json.loads(out)["body"]["reports"]) == 6
+    assert calls == [3 + 6]
+
+
 def test_repairings_planar_only_filters_everything(capsys):
     code, out, _ = run(capsys, "repairings", "--planar-only",
                        fixture("boundary_embedding_interleaving.json"))

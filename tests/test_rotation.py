@@ -418,6 +418,24 @@ def test_classify_re_pairings_on_random_embeddings_matches_the_legs():
         _classified_as_each_complement(*_random_rotated_embedding(seed))
 
 
+def test_parsed_and_wired_flags_are_flags():
+    # both are built by tuple.__new__, as Graph.incidence builds flags
+    _, (be, rots) = read_document(
+        (FIXTURES / "boundary_embedding_chord_bouquet.json").read_text())
+    comp = pushout_complement(be, 3, rots)
+    # the dual's rotation, and the survivor flags renamed to the two
+    # dangling edges' flags, are wired
+    wired = {v for v, fls in comp.rotation.inc.items()
+             if any(fl.edge not in be.host.edges for fl in fls)}
+    assert wired == {comp.dual_boundary, "u0", "u3"}
+    for rs in (*rots.values(), comp.rotation):
+        for fls in rs.inc.values():
+            for fl in fls:
+                assert type(fl) is Flag
+                assert fl == Flag(fl.edge, fl.end)
+                assert str(fl) == f"{fl.edge}.{fl.end}"
+
+
 def test_classify_re_pairings_checks_embedding_before_rotations():
     be, rots = _bouquet_on_circle(4)
     bad_be = BoundaryEmbedding(be.b, be.left, be.host, be.l,
@@ -679,13 +697,13 @@ def test_classify_re_pairings_traces_only_the_touched_part_per_solution(
         monkeypatch.setattr(dpo, "genus_report", recording)
         be, rots = _bouquet_beside_grid(4, side)
         out = classify_re_pairings(be, rots)
-        assert len(out) == len(sizes) == 6
+        assert len(out) == 6 and len(sizes) == 7
         grid = out[0][1].components[1]
         assert grid.genus == 0 and grid.face_count == (side - 1) ** 2 + 1
-    # the first solution's complement is traced whole, the other five
-    # only at the dual vertex with its four loops
-    assert traced[4][0] != traced[8][0]
-    assert traced[4][1:] == traced[8][1:] == [(1, 4, 0)] * 5
+    # the host is traced whole once, from its own rotation, and every
+    # solution only at the dual vertex with its four loops
+    assert traced[4][0] == (16, 24, 1) and traced[8][0] == (64, 112, 1)
+    assert traced[4][1:] == traced[8][1:] == [(1, 4, 0)] * 6
 
 
 def test_genus_report_counts_faces_per_component_with_many_components():

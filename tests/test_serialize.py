@@ -311,18 +311,42 @@ _EDGE = {"source": "a", "target": "b"}
 @pytest.mark.parametrize("run", [
     [_EDGE] * (_RUN_MIN - 1) + [{}],
     [["a"]] * (_RUN_MIN - 1) + [[]],
+    [["a", "b"]] * (_RUN_MIN - 2) + [[]],
+    [[]],
     [_EDGE] * (_RUN_MIN - 1) + [{"source": 1}],
     [["a"]] * (_RUN_MIN - 1) + [["a", 2]],
+    [["a"], ["a", 2]],
     [_EDGE] * (_RUN_MIN - 1) + [["a"]],
     [_EDGE] * (_RUN_MIN - 1) + ["a"],
     [_EDGE] * (_RUN_MIN - 1),
-], ids=["empty-dict", "empty-list", "int-in-dict", "int-in-list",
+], ids=["empty-dict", "empty-list", "short-with-empty-list",
+        "one-empty-list", "int-in-dict", "int-in-list", "short-int-in-list",
         "dicts-and-lists", "bare-string", "below-the-minimum"])
 def test_print_document_writes_an_uneven_run_value_by_value(run):
     assert _encode_run(run, "\n  ") is None
     for body in ({"edges": run},
                  {"g": {"edges": {str(j): v for j, v in enumerate(run)}}}):
         assert print_document(Document("trace", body)) == _dumped(body)
+
+
+_SHORT_RUNS = [
+    [[f"n{j}", f"p{j}\u00e9]"] for j in range(n)] for n in range(1, _RUN_MIN)]
+
+
+@pytest.mark.parametrize("pairs", _SHORT_RUNS,
+                         ids=[f"{len(r)}-pairs" for r in _SHORT_RUNS])
+def test_writer_joins_each_list_of_a_short_run(pairs):
+    # the blue and red pairs of a re-pairing solution, at two indents
+    # and inside a dict that every report repeats
+    tuples = [tuple(p) for p in pairs]
+    for run in (pairs, tuples):
+        texts = _encode_run(run, "\n  ")
+        assert texts == [json.dumps(p, indent=2).replace("\n", "\n  ")
+                         for p in pairs]
+        d = {"blue": run, "red": run, "n": 1}
+        for body in ({"red": run}, {"g": {"h": [run]}},
+                     {"reports": [d, d, d]}):
+            assert print_document(Document("trace", body)) == _dumped(body)
 
 
 def _shared_bodies():
