@@ -103,13 +103,29 @@ def pushout(span: PartitioningSpan,
     become circles.  With `rotations`, keyed "boundary", "left" and
     "context", each surviving vertex keeps the rotation of the side it
     came from.
+
+    It is the check, of the rotations when given and then of the span,
+    plus the unchecked core `_pushout`.
     """
     rots = role_rotations(rotations, ("boundary", "left", "context"))
     if rots is not None:
-        check_rotations("span", rots, (span.b.graph, span.left, span.context),
-                        (("left leg", span.l, 0, 1),
-                         ("context leg", span.c, 0, 2)))
+        _check_span_rotations(span, rots)
     check_span(span)
+    return _pushout(span, rots)
+
+
+def _check_span_rotations(span: PartitioningSpan, rots) -> None:
+    check_rotations("span", rots, (span.b.graph, span.left, span.context),
+                    (("left leg", span.l, 0, 1),
+                     ("context leg", span.c, 0, 2)))
+
+
+def _pushout(span: PartitioningSpan, rots=None) -> PushoutResult:
+    """`pushout` of a checked span and checked rotations, if any, on
+    (boundary, left, context).  A span that breaks the invariants still
+    raises `SpanInvariantViolated`: at an arc whose endpoints are not
+    single-valued or only half defined, and when the glued graph fails
+    `validate_graph`."""
     b, left, ctx = span.b, span.left, span.context
     vb_l = span.l.vmap[b.boundary]
     vb_c = span.c.vmap[b.dual_boundary]
@@ -411,9 +427,14 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
 
     The rule is checked first; the match is checked once, by the
     `blue_half` gate, as the re-pairing solution is picked.  Both
-    refusals are `BoundaryEmbeddingInvariantViolated`.  With `rotations`, keyed "boundary", "left", "right" and "host", the
-    context takes its rotation as in `pushout_complement` and the
-    result as in `pushout`, which validates the context rotation.
+    refusals are `BoundaryEmbeddingInvariantViolated`.  With
+    `rotations`, keyed "boundary", "left", "right" and "host", the
+    embedding's rotations are checked next, the context takes its
+    rotation as in `pushout_complement`, and the span (B, R, C, r, c)
+    has its rotations checked as in `pushout`, which validates the
+    context rotation.  The span itself is not checked again: the rule
+    check covered B and r, and c is built by `_complement` from a
+    checked match, so the square closes through `_pushout`.
     """
     # host before right: the embedding checks read the first three
     rots = role_rotations(rotations, ("boundary", "left", "host", "right"))
@@ -425,10 +446,12 @@ def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
     if rots is not None:
         _check_embedding_rotations(be, rots)
     comp = _complement(be, solution, rots)
-    po = pushout(
-        PartitioningSpan(rule.b, rule.right, comp.context, rule.r, comp.c),
-        None if rots is None else {"boundary": rots[0], "left": rots[3],
-                                   "context": comp.rotation})
+    span = PartitioningSpan(rule.b, rule.right, comp.context, rule.r, comp.c)
+    span_rots = None
+    if rots is not None:
+        span_rots = (rots[0], rots[3], comp.rotation)
+        _check_span_rotations(span, span_rots)
+    po = _pushout(span, span_rots)
     return po.graph, RewriteTrace(comp, po)
 
 

@@ -285,6 +285,42 @@ def test_every_re_pairing_entry_validates_the_embedding_once(monkeypatch,
     assert match_checks == [1]
 
 
+def test_rewrite_checks_each_condition_once(monkeypatch):
+    # the rule check and the blue_half gate each see the boundary graph
+    # and the left leg; the closing square checks no span, so the right
+    # leg is checked once and c, built from the checked match, never
+    from dpoembed import boundary
+    be = bouquet_embedding((4,))
+    spans = count_calls(monkeypatch, boundary.check_span)
+    boundary_graphs = count_calls(monkeypatch,
+                                  boundary.validate_boundary_graph)
+    legs = count_calls(monkeypatch, boundary._leg_errors)
+    _, trace = rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l),
+                       be.host, be.m)
+    assert spans == [0]
+    assert boundary_graphs == [2]
+    assert legs == [3]
+    # classifying c would have built the context's whole incidence
+    assert "incidence" not in trace.complement.context.__dict__
+
+
+def test_rewrite_closes_the_square_as_the_checked_pushout_does():
+    # each span rewrite builds passes check_span, and the unchecked
+    # core glues it as the public pushout does
+    from dpoembed.lawcheck import GenBudget, gen_boundary_embeddings
+    count = 0
+    for be in gen_boundary_embeddings(GenBudget(3, 3, 1, 3)):
+        count += 1
+        rule = RewriteRule(be.b, be.left, be.left, be.l, be.l)
+        for i in range(len(enumerate_re_pairings(be))):
+            _, trace = rewrite(rule, be.host, be.m, i)
+            comp = pushout_complement(be, i)
+            assert trace.complement == comp
+            assert trace.result_pushout == pushout(PartitioningSpan(
+                rule.b, rule.right, comp.context, rule.r, comp.c))
+    assert count == 2237
+
+
 def test_iso_check_positive_and_negative():
     g1 = graph(["a", "b", "c"],
                {"e1": ("a", "b"), "e2": ("b", "c"), "e3": ("c", "a")})

@@ -468,6 +468,20 @@ def test_rewrite_with_rotations_is_rot_complement_then_rot_pushout():
         assert plain.complement == replace(comp, rotation=None)
 
 
+def test_rewrite_with_rotations_validates_the_context_and_result_once(
+        monkeypatch):
+    # the document's rotations are validated as it loads; the step then
+    # validates the context rotation, in the span's rotation check, and
+    # the result rotation
+    _, (rule, host, _, rots) = read_document(
+        (FIXTURES / "match_rotation_loop.json").read_text())
+    m = find_matches(rule, host)[0].m
+    calls = count_calls(monkeypatch, validate_rotation)
+    _, trace = rewrite(rule, host, m, rotations=rots)
+    assert calls == [2]
+    assert "report" in trace.complement.rotation.__dict__
+
+
 def _rotation_entries():
     """Each entry that takes rotations, as a function of the mapping,
     with a complete mapping for it."""
