@@ -266,7 +266,7 @@ def arc_classes(be: BoundaryEmbedding) -> Dict[str, Tuple[str, ...]]:
     out: Dict[str, list] = {}
     for e in be.b.boundary_edges():
         out.setdefault(be.image_arc(e), []).append(e)
-    return {a: tuple(sorted(es)) for a, es in sorted(out.items())}
+    return {a: tuple(es) for a, es in sorted(out.items())}
 
 
 def _class_arrangements(be: BoundaryEmbedding, half: PairingGraph, a: str,

@@ -67,10 +67,10 @@ def span_to_dot(span: PartitioningSpan) -> str:
     cluster("B", span.b.graph, (span.b.boundary, span.b.dual_boundary))
     cluster("L", span.left)
     cluster("C", span.context)
-    for v, w in sorted(span.l.vmap.items()):
+    for v, w in span.l.vmap.items():
         lines.append(f"  {_quote('B:' + v)} -> {_quote('L:' + w)}"
                      " [style=dashed, color=gray, constraint=false];")
-    for v, w in sorted(span.c.vmap.items()):
+    for v, w in span.c.vmap.items():
         lines.append(f"  {_quote('B:' + v)} -> {_quote('C:' + w)}"
                      " [style=dashed, color=gray, constraint=false];")
     lines.append("}")

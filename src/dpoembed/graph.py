@@ -56,6 +56,8 @@ class Graph:
     """A graph with circles: (V, E, O, s, t).
 
     Immutable after construction; edges maps edge id to (source, target).
+    Only `graph` builds one, and it stores `edges` in id order, so every
+    reader iterates the table as stored and none sorts it again.
     """
 
     vertices: frozenset
@@ -99,21 +101,19 @@ class Graph:
 
     def arcs(self) -> Tuple[str, ...]:
         """All arc ids, edges and circles, in id order."""
-        return tuple(sorted(self.edges)) + tuple(sorted(self.circles))
+        return tuple(self.edges) + tuple(sorted(self.circles))
 
     def sorted_vertices(self) -> Tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
     def sorted_edges(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.edges))
+        return tuple(self.edges)
 
     def sorted_circles(self) -> Tuple[str, ...]:
         return tuple(sorted(self.circles))
 
     def __repr__(self) -> str:
-        es = ", ".join(
-            f"{e}:{s}->{t}" for e, (s, t) in sorted(self.edges.items())
-        )
+        es = ", ".join(f"{e}:{s}->{t}" for e, (s, t) in self.edges.items())
         return (
             f"Graph(V={sorted(self.vertices)}, E=[{es}], "
             f"O={sorted(self.circles)})"

@@ -33,11 +33,14 @@ class GraphMorphism:
     """A partial vertex map and a total arc map from `dom` to `cod`.
 
     Immutable after construction, like `Graph`: nothing writes into
-    `vmap` or `amap` once `morphism` has built them.  The flag map, the
-    flag-surjectivity failures and the classification are derived from
-    them on first use and kept on this instance, as `Graph.incidence`
-    is, and so is its image under `forget_to_b`; they are not dataclass
-    fields, so equality, repr and serialization do not see them.
+    `vmap` or `amap` once `morphism` has built them.  Only `morphism`
+    builds one, and it stores both maps in id order, as `graph` stores
+    a graph's edges, so every reader iterates them as stored and none
+    sorts them again.  The flag map, the flag-surjectivity failures and
+    the classification are derived from them on first use and kept on
+    this instance, as `Graph.incidence` is, and so is its image under
+    `forget_to_b`; they are not dataclass fields, so equality, repr and
+    serialization do not see them.
     """
 
     dom: Graph
@@ -49,7 +52,7 @@ class GraphMorphism:
         return self.vmap.get(x)
 
     def key(self):
-        return (tuple(sorted(self.vmap.items())), tuple(sorted(self.amap.items())))
+        return (tuple(self.vmap.items()), tuple(self.amap.items()))
 
     @cached_property
     def _flags(self):
@@ -97,14 +100,14 @@ class MorphismClass:
 def _flag_table(f: GraphMorphism):
     """The flag map, read-only, the lax-naturality violations of the
     source/target maps against the arc map, and whether the map is
-    injective, built together in one walk over the domain's sorted
-    edges.  The map's keys come out in flag order: edges in id order,
-    each with its source end first."""
+    injective, built together in one walk over the domain's edges.  The
+    map's keys come out in flag order: edges in id order, each with its
+    source end first."""
     fm: Dict[Flag, Flag] = {}
     lax = []
     vmap, cod_edges = f.vmap, f.cod.edges
     new = tuple.__new__
-    for e, ends in sorted(f.dom.edges.items()):
+    for e, ends in f.dom.edges.items():
         img = f.amap.get(e)
         if img is None:
             continue
@@ -147,19 +150,19 @@ def is_flag_surjective(f: GraphMorphism) -> bool:
 
 
 def _surjectivity_failures(f: GraphMorphism):
-    """(v, uncovered flags at f(v), sorted) for each vertex v of the
-    domain, in id order, that maps into the codomain."""
+    """(v, uncovered flags at f(v), in flag order) for each vertex v of
+    the domain, in id order, that maps into the codomain."""
     fm = flag_map(f)
     dom, cod = f.dom, f.cod
     out = []
-    for v in sorted(f.vmap):
+    for v in f.vmap:
         fv = f.vmap[v]
         if v not in dom.vertices or fv not in cod.vertices:
             continue  # a bad entry
         image = {fm[fl] for fl in dom.incidence[v] if fl in fm}
         missing = [fl for fl in cod.incidence[fv] if fl not in image]
         if missing:
-            out.append((v, tuple(sorted(missing))))
+            out.append((v, tuple(missing)))
     return tuple(out)
 
 
@@ -182,10 +185,10 @@ def _classify(f: GraphMorphism) -> MorphismClass:
         img = f.amap.get(a)
         if img is None or (img not in cod.edges and img not in cod.circles):
             violations.append(("NotTotalOnArcs", f"arc {a} has no image"))
-    for a in sorted(f.amap):
+    for a in f.amap:
         if a not in dom_arcs:
             violations.append(("NotTotalOnArcs", f"spurious arc {a} in map"))
-    for v in sorted(f.vmap):
+    for v in f.vmap:
         if v not in dom.vertices or f.vmap[v] not in cod.vertices:
             violations.append(("NotTotalOnArcs", f"bad vertex entry {v}"))
 
@@ -207,7 +210,7 @@ def _classify(f: GraphMorphism) -> MorphismClass:
     # Embedding conditions: reported but not fatal to morphism-hood.
     emb_violations = []
     seen = {}
-    for v in sorted(f.vmap):
+    for v in f.vmap:
         w = f.vmap[v]
         if w in seen:
             emb_violations.append(("VertexMapNotInjective", f"{seen[w]},{v} -> {w}"))
@@ -219,7 +222,7 @@ def _classify(f: GraphMorphism) -> MorphismClass:
             emb_violations.append(("CircleMapNotInjective", f"{oimg[img]},{o} -> {img}"))
         oimg[img] = o
     vals = {}
-    for fl, img in fm.items():  # already in flag order
+    for fl, img in fm.items():
         if img in vals:
             emb_violations.append(("NotFlagInjective", f"{vals[img]},{fl} -> {img}"))
         vals[img] = fl
@@ -257,5 +260,4 @@ def _forget(f: GraphMorphism):
         for e, img in f.amap.items()
         if f.dom.is_edge(e) and f.cod.is_edge(img)
     }
-    return ((dom, cod), MappingProxyType(dict(f.vmap)),
-            MappingProxyType(dict(sorted(emap.items()))))
+    return ((dom, cod), MappingProxyType(dict(f.vmap)), MappingProxyType(emap))

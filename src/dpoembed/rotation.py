@@ -93,7 +93,7 @@ def check_rot_morphism(f: GraphMorphism, dom: RotationSystem,
     """Rotation preservation: wherever the vertex map is defined, the
     mapped rotation equals the codomain rotation up to rotation."""
     fm = flag_map(f)
-    for v in sorted(f.vmap):
+    for v in f.vmap:
         mapped = []
         for fl in dom.rotation(v):
             if fl not in fm:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
@@ -92,13 +93,13 @@ def graph_to_body(g: Graph,
     body: Dict[str, Any] = {
         "vertices": g.sorted_vertices(),
         "edges": {e: {"source": s, "target": t}
-                  for e, (s, t) in sorted(g.edges.items())},
+                  for e, (s, t) in g.edges.items()},
         "circles": g.sorted_circles(),
     }
     if rotations is not None:
         body["rotations"] = {
             v: [str(fl) for fl in rotations.rotation(v)]
-            for v in g.sorted_vertices()
+            for v in g.vertices
         }
     return body
 
@@ -174,8 +175,7 @@ def graph_from_body(body: Mapping, where: str = "graph",
 
 
 def map_to_body(f: GraphMorphism) -> Dict[str, Any]:
-    return {"vertices": dict(sorted(f.vmap.items())),
-            "arcs": dict(sorted(f.amap.items()))}
+    return {"vertices": dict(f.vmap), "arcs": dict(f.amap)}
 
 
 def map_from_body(body: Mapping, dom: Graph, cod: Graph, where: str,
@@ -331,10 +331,13 @@ def print_document(doc: Document) -> str:
         "body": doc.body,
     }
     out: list = []
-    try:
-        _write(payload, "\n", out, {})
-    except _NotPlain:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:  # the writer and the fallback both recurse once per level
+        try:
+            _write(payload, "\n", out, {})
+        except _NotPlain:
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
     out.append("\n")
     return "".join(out)
 
@@ -494,6 +497,9 @@ def read_document(text: str, lenient: bool = False):
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:
         raise DocumentError("document nested too deeply") from None
+    except ValueError:  # the one other refusal: Python's int-string limit
+        raise DocumentError(f"integer literal longer than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
     _check_fields(payload, {"format_version", "kind", "body"}, (),
                   "document", lenient)
     if payload["format_version"] != FORMAT_VERSION:

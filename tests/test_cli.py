@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -78,6 +79,62 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def _nested(depth, leaf="1"):
+    return '{"a": ' * depth + leaf + "}" * depth
+
+
+@pytest.mark.parametrize("leaf", ["1", "1.5"], ids=["writer", "fallback"])
+def test_deeply_nested_body_is_usage_error_when_printed(capsys, tmp_path,
+                                                         leaf):
+    # 600 levels pass the JSON parser, but the writer recurses twice per
+    # dict, and a float sends it to `json.dumps`, which recurses too
+    deep = tmp_path / "deep.json"
+    text = '{"format_version": "1", "kind": "trace", "body": %s}'
+    deep.write_text(text % _nested(450, leaf))
+    assert run(capsys, "validate", str(deep))[0] == 0
+    deep.write_text(text % _nested(600, leaf))
+    code, out, err = run(capsys, "validate", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err == "error: document nested too deeply\n"
+
+
+def test_deep_unknown_field_of_a_lenient_graph_is_usage_error(capsys,
+                                                              tmp_path):
+    # `--lenient validate` echoes the unknown field it tolerated
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"format_version": "1", "kind": "graph", "body": '
+                    '{"vertices": [], "edges": {}, "extra": %s}}'
+                    % _nested(600))
+    code, out, err = run(capsys, "--lenient", "validate", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err == "error: document nested too deeply\n"
+
+
+def test_overlong_integer_literal_is_usage_error(capsys, tmp_path):
+    # Python refuses to convert an int string past its digit limit
+    doc = tmp_path / "long.json"
+    doc.write_text('{"format_version": "1", "kind": "trace", "body": '
+                   + "9" * 5000 + "}")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: integer literal longer than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    # a strict stdin refuses the bytes as the file reader does
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict"))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: <stdin>: not UTF-8 text: invalid start byte "
+                   "at byte 0\n")
 
 
 @pytest.mark.parametrize("vertices", [[["a"]], "ab", [1, 2]],

@@ -165,3 +165,17 @@ def test_index_leaves_equality_and_repr_unchanged(g):
     assert set(g.incidence) == set(g.vertices)
     assert g == twin and twin == g
     assert repr(g) == before == repr(twin)
+
+
+def test_graph_keeps_edges_given_in_reverse_in_id_order():
+    # `graph` decides the order once; the readers iterate as stored
+    edges = {"e1": ("u", "u"), "e10": ("v", "u"), "e2": ("u", "v")}
+    g = graph(["v", "u"], dict(reversed(edges.items())), ["o2", "o1"])
+    assert list(g.edges) == ["e1", "e10", "e2"]
+    assert g.sorted_edges() == ("e1", "e10", "e2")
+    assert g.arcs() == ("e1", "e10", "e2", "o1", "o2")
+    assert g.incidence["u"] == (Flag("e1", "src"), Flag("e1", "tgt"),
+                                Flag("e10", "tgt"), Flag("e2", "src"))
+    assert repr(g) == ("Graph(V=['u', 'v'], E=[e1:u->u, e10:v->u, e2:u->v], "
+                       "O=['o1', 'o2'])")
+    assert g == graph(["u", "v"], edges, ["o1", "o2"])

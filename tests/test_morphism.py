@@ -224,3 +224,54 @@ def test_forget_to_b_is_built_once_per_morphism():
     other = _forgotten_loop()
     assert forget_to_b(other) is not forget_to_b(f)
     assert forget_to_b(other)[1:] == forget_to_b(f)[1:]
+
+
+def _reversed(table):
+    return dict(reversed(list(table.items())))
+
+
+def test_morphism_keeps_maps_given_in_reverse_in_id_order():
+    dom = graph(["b", "a"], {"l2": ("a", "a"), "l1": ("b", "b")})
+    cod = graph(["x"], {"k": ("x", "x")}, ["o"])
+    vmap, amap = {"a": "x", "b": "x"}, {"l1": "k", "l2": "k"}
+    f = morphism(dom, cod, _reversed(vmap), _reversed(amap))
+    assert list(f.vmap) == ["a", "b"] and list(f.amap) == ["l1", "l2"]
+    assert f.key() == (tuple(vmap.items()), tuple(amap.items()))
+    assert list(flag_map(f)) == [Flag("l1", "src"), Flag("l1", "tgt"),
+                                 Flag("l2", "src"), Flag("l2", "tgt")]
+    assert list(forget_to_b(f)[2]) == ["l1", "l2"]
+
+
+@pytest.mark.parametrize("dom,cod,vmap,amap,kind,violations", [
+    (graph(["a", "b"]),
+     graph(["x"], {"e2": ("x", "x"), "e10": ("x", "x")}),
+     {"a": "x", "b": "x", "p": "x", "q": "x"}, {"z0": "e10", "z1": "e2"},
+     INVALID,
+     [("NotTotalOnArcs", "spurious arc z0 in map"),
+      ("NotTotalOnArcs", "spurious arc z1 in map"),
+      ("NotTotalOnArcs", "bad vertex entry p"),
+      ("NotTotalOnArcs", "bad vertex entry q"),
+      ("NotFlagSurjective",
+       "vertex a: uncovered flags e10.src,e10.tgt,e2.src,e2.tgt"),
+      ("NotFlagSurjective",
+       "vertex b: uncovered flags e10.src,e10.tgt,e2.src,e2.tgt")]),
+    (graph(["a", "b", "c"], {}, ["o1", "o2"]), graph(["x"], {}, ["k"]),
+     {"a": "x", "b": "x", "c": "x"}, {"o1": "k", "o2": "k"},
+     MORPHISM,
+     [("VertexMapNotInjective", "a,b -> x"),
+      ("VertexMapNotInjective", "b,c -> x"),
+      ("CircleMapNotInjective", "o1,o2 -> k")]),
+    (graph(["a"], {"l1": ("a", "a"), "l2": ("a", "a")}),
+     graph(["x"], {"k": ("x", "x")}),
+     {"a": "x"}, {"l1": "k", "l2": "k"},
+     MORPHISM,
+     [("NotFlagInjective", "l1.src,l2.src -> k.src"),
+      ("NotFlagInjective", "l1.tgt,l2.tgt -> k.tgt")]),
+], ids=["invalid", "not-injective", "not-flag-injective"])
+def test_classify_lists_violations_in_id_order_whatever_the_input_order(
+        dom, cod, vmap, amap, kind, violations):
+    # classify walks the maps as `morphism` stored them, sorting nothing
+    given = classify(morphism(dom, cod, _reversed(vmap), _reversed(amap)))
+    assert given == classify(morphism(dom, cod, vmap, amap))
+    assert given.kind == kind
+    assert list(given.violations) == violations

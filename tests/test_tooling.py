@@ -232,6 +232,41 @@ def test_no_module_writes_into_a_morphism_map():
     assert not found
 
 
+# Each object type is built by its one constructor, which decides the
+# order of its tables; every other reader iterates them as stored.
+_CONSTRUCTORS = {("graph", "graph", "Graph"),
+                 ("morphism", "morphism", "GraphMorphism"),
+                 ("rotation", "rotation_system", "RotationSystem")}
+
+
+def _calls(tree):
+    """(innermost enclosing function or "<module>", called name) of each
+    call in `tree`."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                out.add((scope, getattr(func, "id",
+                                        getattr(func, "attr", None))))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_only_the_constructors_call_the_object_types():
+    found = {(path.stem, scope, name)
+             for path in sorted(SRC.glob("*.py"))
+             for scope, name in _calls(ast.parse(path.read_text()))
+             if name in ("Graph", "GraphMorphism", "RotationSystem")}
+    assert found == _CONSTRUCTORS
+
+
 def _library_imports(path):
     """The library modules a source file imports from; a name imported
     from the package itself counts as a module of that name."""
