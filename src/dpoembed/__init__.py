@@ -19,7 +19,6 @@ from .graph import (
     degree,
     flags_at,
     graph,
-    induced_subgraph,
     is_connected,
     validate_graph,
 )

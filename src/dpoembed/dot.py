@@ -33,9 +33,8 @@ def graph_to_dot(g: Graph, rotations: Optional[RotationSystem] = None) -> str:
     lines = ['digraph "G" {']
     for v in g.sorted_vertices():
         lines.append(_vertex_line(v, rotations))
-    for e in g.sorted_edges():
-        lines.append(f"  {_quote(g.source(e))} -> {_quote(g.target(e))}"
-                     f" [label={_quote(e)}];")
+    for e, (s, t) in g.edges.items():
+        lines.append(f"  {_quote(s)} -> {_quote(t)} [label={_quote(e)}];")
     for o in g.sorted_circles():
         lines.append(f"  {_quote(o)} [shape=doublecircle, style=dashed,"
                      f" label={_quote(o)}];")
@@ -55,10 +54,9 @@ def span_to_dot(span: PartitioningSpan) -> str:
             special = "doubleoctagon" if v in boundary else None
             attrs = f" [shape={special}]" if special else ""
             lines.append(f"    {_quote(tag + ':' + v)}{attrs};")
-        for e in g.sorted_edges():
-            lines.append(
-                f"    {_quote(tag + ':' + g.source(e))} -> "
-                f"{_quote(tag + ':' + g.target(e))} [label={_quote(e)}];")
+        for e, (s, t) in g.edges.items():
+            lines.append(f"    {_quote(tag + ':' + s)} -> "
+                         f"{_quote(tag + ':' + t)} [label={_quote(e)}];")
         for o in g.sorted_circles():
             lines.append(f"    {_quote(tag + ':' + o)} [shape=doublecircle,"
                          f" style=dashed, label={_quote(o)}];")

@@ -104,28 +104,17 @@ def pushout(span: PartitioningSpan,
     "context", each surviving vertex keeps the rotation of the side it
     came from.
 
-    It is the check, of the rotations when given and then of the span,
-    plus the unchecked core `_pushout`.
+    The rotations, when given, are checked first, then the span.  The
+    gluing still raises `SpanInvariantViolated` at an arc whose
+    endpoints are not single-valued or only half defined, and when the
+    glued graph fails `validate_graph`.
     """
     rots = role_rotations(rotations, ("boundary", "left", "context"))
     if rots is not None:
-        _check_span_rotations(span, rots)
+        check_rotations("span", rots, (span.b.graph, span.left, span.context),
+                        (("left leg", span.l, 0, 1),
+                         ("context leg", span.c, 0, 2)))
     check_span(span)
-    return _pushout(span, rots)
-
-
-def _check_span_rotations(span: PartitioningSpan, rots) -> None:
-    check_rotations("span", rots, (span.b.graph, span.left, span.context),
-                    (("left leg", span.l, 0, 1),
-                     ("context leg", span.c, 0, 2)))
-
-
-def _pushout(span: PartitioningSpan, rots=None) -> PushoutResult:
-    """`pushout` of a checked span and checked rotations, if any, on
-    (boundary, left, context).  A span that breaks the invariants still
-    raises `SpanInvariantViolated`: at an arc whose endpoints are not
-    single-valued or only half defined, and when the glued graph fails
-    `validate_graph`."""
     b, left, ctx = span.b, span.left, span.context
     vb_l = span.l.vmap[b.boundary]
     vb_c = span.c.vmap[b.dual_boundary]
@@ -241,18 +230,6 @@ def _fresh(base: str, *used) -> str:
     return name
 
 
-def _pick(be: BoundaryEmbedding, index: Optional[int]) -> PairingGraph:
-    """The canonical re-pairing solution, or the `index`-th of all
-    solutions in enumeration order."""
-    if index is None:
-        return solve_re_pairing(be)
-    solutions = enumerate_re_pairings(be)
-    if not 0 <= index < len(solutions):
-        raise SolutionIndexOutOfRange(
-            f"solution index {index} not in [0, {len(solutions)})")
-    return solutions[index]
-
-
 def pushout_complement(be: BoundaryEmbedding,
                        solution_index: Optional[int] = None,
                        rotations: Rotations = None) -> ComplementResult:
@@ -261,26 +238,27 @@ def pushout_complement(be: BoundaryEmbedding,
     or the `solution_index`-th of all of them.  With `rotations`, keyed
     "boundary", "left" and "host", surviving vertices keep their host
     rotation and the dual boundary takes its rotation from the boundary
-    graph through c."""
+    graph through c.
+
+    The embedding is checked as the solution is picked, then the
+    rotations; the complement is `_wiring`'s two steps, prepare and
+    wire, and the two legs c: B -> C and g: C -> G built from the
+    wire's arc tables."""
     rots = role_rotations(rotations, ("boundary", "left", "host"))
-    solution = _pick(be, solution_index)
-    if rots is None:
-        return _complement(be, solution)
-    _check_embedding_rotations(be, rots)
-    comp = _complement(be, solution, rots)
-    validated_rotation(comp.rotation)
-    return comp
-
-
-def _complement(be: BoundaryEmbedding, solution: PairingGraph,
-                rots=None) -> ComplementResult:
-    """`pushout_complement` of a checked embedding, a solution that
-    extends its blue half and checked rotations, if any, on (boundary,
-    left, host); the context rotation is not validated.  It is
-    `_wiring`'s two steps, prepare and wire, and the two legs c: B -> C
-    and g: C -> G built from the wire's arc tables."""
+    if solution_index is None:
+        solution = solve_re_pairing(be)
+    else:
+        solutions = enumerate_re_pairings(be)
+        if not 0 <= solution_index < len(solutions):
+            raise SolutionIndexOutOfRange(f"solution index {solution_index} "
+                                          f"not in [0, {len(solutions)})")
+        solution = solutions[solution_index]
+    if rots is not None:
+        _check_embedding_rotations(be, rots)
     dual, wire = _wiring(be, rots)
     context, rotation, c_amap, g_amap = wire(solution)
+    if rotation is not None:
+        validated_rotation(rotation)
     c_map = morphism(be.b.graph, context, {be.b.dual_boundary: dual}, c_amap)
     g_map = morphism(context, be.host,
                      {v: v for v in context.vertices if v != dual}, g_amap)
@@ -422,36 +400,27 @@ class RewriteTrace:
 def rewrite(rule: RewriteRule, host: Graph, match: GraphMorphism,
             solution_index: Optional[int] = None,
             rotations: Rotations = None) -> Tuple[Graph, RewriteTrace]:
-    """One DPO step: complement of the match, then pushout against the
-    right-hand side.  Returns (result graph, trace).
+    """One DPO step: `pushout_complement` of the match, then `pushout`
+    of the span (B, R, C, r, c).  Returns (result graph, trace).
 
-    The rule is checked first; the match is checked once, by the
-    `blue_half` gate, as the re-pairing solution is picked.  Both
-    refusals are `BoundaryEmbeddingInvariantViolated`.  With
-    `rotations`, keyed "boundary", "left", "right" and "host", the
-    embedding's rotations are checked next, the context takes its
-    rotation as in `pushout_complement`, and the span (B, R, C, r, c)
-    has its rotations checked as in `pushout`, which validates the
-    context rotation.  The span itself is not checked again: the rule
-    check covered B and r, and c is built by `_complement` from a
-    checked match, so the square closes through `_pushout`.
+    The rule is checked first, and both refusals, of the rule and of
+    the match, are `BoundaryEmbeddingInvariantViolated`.  With
+    `rotations`, keyed "boundary", "left", "right" and "host", every
+    role is asked for before anything is built; the complement takes
+    the boundary, left and host rotations, and the span the boundary,
+    right and context ones.
     """
-    # host before right: the embedding checks read the first three
-    rots = role_rotations(rotations, ("boundary", "left", "host", "right"))
+    role_rotations(rotations, ("boundary", "left", "host", "right"))
     errors = validate_rule(rule)
     if errors:
         raise BoundaryEmbeddingInvariantViolated(errors)
     be = BoundaryEmbedding(rule.b, rule.left, host, rule.l, match)
-    solution = _pick(be, solution_index)
-    if rots is not None:
-        _check_embedding_rotations(be, rots)
-    comp = _complement(be, solution, rots)
-    span = PartitioningSpan(rule.b, rule.right, comp.context, rule.r, comp.c)
-    span_rots = None
-    if rots is not None:
-        span_rots = (rots[0], rots[3], comp.rotation)
-        _check_span_rotations(span, span_rots)
-    po = _pushout(span, span_rots)
+    comp = pushout_complement(be, solution_index, rotations)
+    span_rots = None if rotations is None else {
+        "boundary": rotations["boundary"], "left": rotations["right"],
+        "context": comp.rotation}
+    po = pushout(PartitioningSpan(rule.b, rule.right, comp.context, rule.r,
+                                  comp.c), span_rots)
     return po.graph, RewriteTrace(comp, po)
 
 
@@ -553,10 +522,9 @@ def iso_check(g1: Graph, g2: Graph):
 
     amap: Dict[str, str] = {}
     buckets: Dict[Tuple[str, str], List[str]] = {}
-    for e in g2.sorted_edges():
-        buckets.setdefault(g2.edges[e], []).append(e)
-    for e in g1.sorted_edges():
-        s, t = g1.edges[e]
+    for e, ends in g2.edges.items():
+        buckets.setdefault(ends, []).append(e)
+    for e, (s, t) in g1.edges.items():
         amap[e] = buckets[(vmap[s], vmap[t])].pop(0)
     for o1, o2 in zip(g1.sorted_circles(), g2.sorted_circles()):
         amap[o1] = o2

@@ -106,9 +106,6 @@ class Graph:
     def sorted_vertices(self) -> Tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
-    def sorted_edges(self) -> Tuple[str, ...]:
-        return tuple(self.edges)
-
     def sorted_circles(self) -> Tuple[str, ...]:
         return tuple(sorted(self.circles))
 
@@ -139,8 +136,7 @@ EMPTY_GRAPH = graph()
 def validate_graph(g: Graph) -> ValidationReport:
     """Check edge endpoints exist and arc ids are unique across sorts."""
     errors = []
-    for e in g.sorted_edges():
-        s, t = g.edges[e]
+    for e, (s, t) in g.edges.items():
         if s not in g.vertices:
             errors.append(("DanglingEndpoint", f"edge {e}: source {s}"))
         if t not in g.vertices:
@@ -166,18 +162,6 @@ def degree(g: Graph, v: str) -> int:
     if v not in g.vertices:
         raise UnknownVertex(v)
     return len(g.incidence[v])
-
-
-def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:
-    """Subgraph on vs keeping edges with both endpoints in vs; drops circles."""
-    keep = set(vs)
-    unknown = keep - set(g.vertices)
-    if unknown:
-        raise UnknownVertex(sorted(unknown)[0])
-    edges = {
-        e: (s, t) for e, (s, t) in g.edges.items() if s in keep and t in keep
-    }
-    return graph(keep, edges)
 
 
 def _union_find(items, pairs, key=None):

@@ -151,16 +151,29 @@ def is_flag_surjective(f: GraphMorphism) -> bool:
 
 def _surjectivity_failures(f: GraphMorphism):
     """(v, uncovered flags at f(v), in flag order) for each vertex v of
-    the domain, in id order, that maps into the codomain."""
+    the domain, in id order, that maps into the codomain.
+
+    The flags at the image vertices are read in one pass over the
+    codomain's edges, in the order `Graph.incidence` lists them, and
+    the codomain's incidence is not built: a leg onto one vertex of a
+    large graph costs one scan, not a flag table for every vertex."""
     fm = flag_map(f)
     dom, cod = f.dom, f.cod
+    hits = [(v, fv) for v, fv in f.vmap.items()
+            if v in dom.vertices and fv in cod.vertices]  # no bad entry
+    if not hits:
+        return ()
+    at = {fv: [] for _, fv in hits}
+    new = tuple.__new__
+    for e, (s, t) in cod.edges.items():
+        if s in at:
+            at[s].append(new(Flag, (e, SRC)))
+        if t in at:
+            at[t].append(new(Flag, (e, TGT)))
     out = []
-    for v in f.vmap:
-        fv = f.vmap[v]
-        if v not in dom.vertices or fv not in cod.vertices:
-            continue  # a bad entry
+    for v, fv in hits:
         image = {fm[fl] for fl in dom.incidence[v] if fl in fm}
-        missing = [fl for fl in cod.incidence[fv] if fl not in image]
+        missing = [fl for fl in at[fv] if fl not in image]
         if missing:
             out.append((v, tuple(missing)))
     return tuple(out)

@@ -164,7 +164,7 @@ def trace_faces(rs: RotationSystem) -> List[Tuple[Dart, ...]]:
             step[(fl.edge, FWD if fl.end == TGT else REV)] = (
                 nxt.edge, FWD if nxt.end == SRC else REV)
     faces = []
-    for e in g.sorted_edges():
+    for e in g.edges:
         for d in ((e, FWD), (e, REV)):
             walk = []
             while d in step:

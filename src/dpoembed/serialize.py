@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
@@ -331,19 +332,12 @@ def print_document(doc: Document) -> str:
         "body": doc.body,
     }
     out: list = []
-    try:  # the writer and the fallback both recurse once per level
-        try:
-            _write(payload, "\n", out, {})
-        except _NotPlain:
-            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:  # the writer recurses at every level
+        _write(payload, "\n", out, {})
     except RecursionError:
         raise DocumentError("document nested too deeply") from None
     out.append("\n")
     return "".join(out)
-
-
-class _NotPlain(Exception):
-    """A value `_write` leaves to `json.dumps` (a float, a non-str key)."""
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -363,11 +357,12 @@ _RUN_MIN = 8
 
 def _write(value, nl: str, out: list, seen: dict) -> None:
     """Append the text `json.dumps(value, sort_keys=True, indent=2)`
-    gives for str, int, bool, None, lists, tuples and str-keyed dicts;
-    `nl` is a newline plus the current indent.  A container of strings
-    is one join, a short run of string lists one join per list, and a
-    long run of flat containers one encoder call: the stdlib encoder is
-    pure Python whenever it indents.
+    gives for str, int, finite float, bool, None, lists, tuples and
+    str-keyed dicts; anything else, a non-finite float or a non-str key
+    included, raises TypeError.  `nl` is a newline plus the current
+    indent.  A container of strings is one join, a short run of string
+    lists one join per list, and a long run of flat containers one
+    encoder call: the stdlib encoder is pure Python whenever it indents.
 
     A dict met again at the same indent is not written again.  `seen`
     maps (id, indent) to where its first text lies in `out`; the second
@@ -383,6 +378,8 @@ def _write(value, nl: str, out: list, seen: dict) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        out.append(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -414,13 +411,11 @@ def _write(value, nl: str, out: list, seen: dict) -> None:
             known = seen[key] = "".join(out[known[0]:known[1]])
         out.append(known)
     else:
-        raise _NotPlain
+        raise TypeError(f"cannot write {value!r} as JSON")
 
 
 def _write_dict(value: dict, nl: str, out: list, seen: dict) -> None:
     """`_write` of a non-empty dict."""
-    if not all(map(_is_str, value)):
-        raise _NotPlain
     inner = nl + "  "
     keys = sorted(value)
     values = list(map(value.__getitem__, keys))
@@ -492,7 +487,8 @@ def read_document(text: str, lenient: bool = False):
     needs the domain object does not load it a second time.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_non_finite,
+                             parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:
@@ -508,6 +504,19 @@ def read_document(text: str, lenient: bool = False):
             f"(expected {FORMAT_VERSION!r})")
     doc = Document(payload["kind"], payload["body"])
     return doc, load_document(doc, lenient=lenient)
+
+
+def _non_finite(literal: str):
+    """Refuse `NaN`, `Infinity`, `-Infinity` and overflowing literals,
+    which `json.loads` accepts by default but strict JSON does not."""
+    raise DocumentError(f"non-finite number {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    x = float(literal)
+    if not math.isfinite(x):
+        _non_finite(literal)
+    return x
 
 
 def load_document(doc: Document, lenient: bool = False):

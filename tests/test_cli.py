@@ -85,11 +85,11 @@ def _nested(depth, leaf="1"):
     return '{"a": ' * depth + leaf + "}" * depth
 
 
-@pytest.mark.parametrize("leaf", ["1", "1.5"], ids=["writer", "fallback"])
+@pytest.mark.parametrize("leaf", ["1", "1.5"], ids=["writer", "float"])
 def test_deeply_nested_body_is_usage_error_when_printed(capsys, tmp_path,
                                                          leaf):
     # 600 levels pass the JSON parser, but the writer recurses twice per
-    # dict, and a float sends it to `json.dumps`, which recurses too
+    # dict, whatever the leaf
     deep = tmp_path / "deep.json"
     text = '{"format_version": "1", "kind": "trace", "body": %s}'
     deep.write_text(text % _nested(450, leaf))
@@ -124,6 +124,27 @@ def test_overlong_integer_literal_is_usage_error(capsys, tmp_path):
     assert out == ""
     assert err == ("error: integer literal longer than "
                    f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
+    # strict JSON has no NaN or Infinity, and 1e400 overflows a float
+    doc = tmp_path / "nan.json"
+    doc.write_text('{"format_version": "1", "kind": "trace", '
+                   '"body": [1e400, NaN]}')
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite number 1e400\n"
+
+
+def test_finite_floats_print_as_json_dumps(capsys, tmp_path):
+    payload = {"format_version": "1", "kind": "trace",
+               "body": [0.1, -0.0, 1e+16, {"x": 2.5e-9}]}
+    doc = tmp_path / "floats.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):

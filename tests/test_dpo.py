@@ -200,7 +200,7 @@ def test_rewrite_refuses_a_misdirected_rule_before_the_complement(
         monkeypatch, loop_rule, mixed_host, misdirected_rules):
     from dpoembed import dpo, find_matches
     m = find_matches(loop_rule, mixed_host)[0].m
-    built = count_calls(monkeypatch, dpo._complement)
+    built = count_calls(monkeypatch, dpo._wiring)
     for rule, failure in misdirected_rules:
         with pytest.raises(BoundaryEmbeddingInvariantViolated) as err:
             rewrite(rule, mixed_host, m)
@@ -265,7 +265,7 @@ def test_every_re_pairing_entry_refuses_an_invalid_embedding(
         monkeypatch, two_edge_boundary, entry):
     from dpoembed import dpo
     be, rots = _interior_undefined(two_edge_boundary)
-    built = count_calls(monkeypatch, dpo._complement)
+    built = count_calls(monkeypatch, dpo._wiring)
     with pytest.raises(BoundaryEmbeddingInvariantViolated) as err:
         _RE_PAIRING_ENTRIES[entry](be, rots)
     assert err.value.args[0] == [("MatchUndefinedOnInterior", "u")]
@@ -286,9 +286,8 @@ def test_every_re_pairing_entry_validates_the_embedding_once(monkeypatch,
 
 
 def test_rewrite_checks_each_condition_once(monkeypatch):
-    # the rule check and the blue_half gate each see the boundary graph
-    # and the left leg; the closing square checks no span, so the right
-    # leg is checked once and c, built from the checked match, never
+    # the rule check, the blue_half gate and the closing pushout's span
+    # check each see the boundary graph; the legs are l and r, l and c
     from dpoembed import boundary
     be = bouquet_embedding((4,))
     spans = count_calls(monkeypatch, boundary.check_span)
@@ -297,16 +296,39 @@ def test_rewrite_checks_each_condition_once(monkeypatch):
     legs = count_calls(monkeypatch, boundary._leg_errors)
     _, trace = rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l),
                        be.host, be.m)
-    assert spans == [0]
-    assert boundary_graphs == [2]
-    assert legs == [3]
-    # classifying c would have built the context's whole incidence
+    assert spans == [1]
+    assert boundary_graphs == [3]
+    assert legs == [5]
+    # classifying c reads the flags at the dual boundary only
     assert "incidence" not in trace.complement.context.__dict__
 
 
+def test_rewrite_refuses_a_complement_whose_c_is_not_an_embedding(
+        monkeypatch):
+    # a wire step that drops one boundary edge from c's arc table
+    be = bouquet_embedding((4,))
+    wiring = dpo._wiring
+
+    def lossy(*args, **kwargs):
+        dual, wire = wiring(*args, **kwargs)
+
+        def lossy_wire(solution):
+            context, rotation, c_amap, g_amap = wire(solution)
+            c_amap.pop(min(c_amap))
+            return context, rotation, c_amap, g_amap
+
+        return dual, lossy_wire
+
+    monkeypatch.setattr(dpo, "_wiring", lossy)
+    with pytest.raises(SpanInvariantViolated) as err:
+        rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l),
+                be.host, be.m)
+    assert ("LegNotEmbedding", "c") in err.value.args[0]
+
+
 def test_rewrite_closes_the_square_as_the_checked_pushout_does():
-    # each span rewrite builds passes check_span, and the unchecked
-    # core glues it as the public pushout does
+    # rewrite's trace is the complement and the pushout of its span,
+    # each as the public entry builds it on its own
     from dpoembed.lawcheck import GenBudget, gen_boundary_embeddings
     count = 0
     for be in gen_boundary_embeddings(GenBudget(3, 3, 1, 3)):

@@ -52,6 +52,22 @@ def test_not_flag_surjective():
     assert cls.codes() == ("NotFlagSurjective",)
 
 
+def test_classify_reads_the_flags_at_the_image_vertices_only():
+    # a span's context leg: B's dual vertex onto one vertex of C; the
+    # uncovered flags still come out in flag order, a self-loop's source
+    # end before its target end
+    b = graph(["bnd", "dbd"], {"e1": ("bnd", "dbd"), "e2": ("dbd", "bnd")})
+    onto = graph(["x", "y"], {"l": ("x", "x"), "k": ("y", "y")})
+    leg = morphism(b, onto, {"dbd": "x"}, {"e1": "l", "e2": "l"})
+    assert classify(leg).kind == EMBEDDING
+    assert "incidence" not in onto.__dict__
+    loops = graph(["x"], {"l": ("x", "x"), "n": ("x", "x")})
+    leg = morphism(b, loops, {"dbd": "x"}, {"e1": "l", "e2": "n"})
+    assert classify(leg).violations == (
+        ("NotFlagSurjective", "vertex dbd: uncovered flags l.src,n.tgt"),)
+    assert "incidence" not in loops.__dict__
+
+
 def test_circle_to_edge_forbidden():
     f = morphism(CIRCLE, LOOPED, {}, {"o": "e"})
     cls = classify(f)

@@ -240,7 +240,8 @@ def _dumped(body):
 
 
 _PLAIN = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=3).map(tuple)
                    | st.lists(st.text(), max_size=4)
@@ -256,11 +257,27 @@ def test_print_document_is_json_dumps(body):
 
 
 @pytest.mark.parametrize("body", [
-    {"x": 1.5, "y": ["a"]}, [float("inf")], {1: "a", 2: ["b"]},
-    {"b": {3: None}}, "caf\u00e9 \"\\\n\t\x00"],
-    ids=["float", "infinity", "int-keys", "nested-int-key", "escapes"])
-def test_print_document_falls_back_to_json_dumps(body):
+    {"x": 1.5, "y": ["a"]}, [0.1, -0.0, 1e16, 1e-7, 2.5e+300],
+    "caf\u00e9 \"\\\n\t\x00"],
+    ids=["float", "finite-floats", "escapes"])
+def test_print_document_writes_plain_values_as_json_dumps(body):
     assert print_document(Document("trace", body)) == _dumped(body)
+
+
+@pytest.mark.parametrize("body", [
+    [float("inf")], [float("nan")], {1: "a", 2: ["b"]}, {"b": {3: None}}],
+    ids=["infinity", "nan", "int-keys", "nested-int-key"])
+def test_print_document_refuses_what_strict_json_cannot_hold(body):
+    with pytest.raises(TypeError):
+        print_document(Document("trace", body))
+
+
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "[1e400, NaN]"])
+def test_read_document_refuses_non_finite_numbers(literal):
+    text = '{"format_version": "1", "kind": "trace", "body": %s}' % literal
+    with pytest.raises(DocumentError, match="^non-finite number "):
+        read_document(text)
 
 
 # Containers holding a run of at least _RUN_MIN non-empty dicts of

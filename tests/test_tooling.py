@@ -267,6 +267,15 @@ def test_only_the_constructors_call_the_object_types():
     assert found == _CONSTRUCTORS
 
 
+def test_rewrite_is_the_two_checked_squares():
+    # a DPO step is the complement square, then the pushout square, each
+    # through its checked entry: no unchecked core may close it
+    called = {name for scope, name in _calls(ast.parse(
+        (SRC / "dpo.py").read_text())) if scope == "rewrite"}
+    assert {"pushout_complement", "pushout"} <= called
+    assert not {name for name in called if name.startswith("_")}
+
+
 def _library_imports(path):
     """The library modules a source file imports from; a name imported
     from the package itself counts as a module of that name."""
