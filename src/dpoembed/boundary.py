@@ -67,7 +67,7 @@ def validate_boundary_graph(b: BoundaryGraph):
         if s == t:
             errors.append(("SelfLoopInBoundary", e))
     if g.circles:
-        errors.append(("CircleInBoundary", ",".join(g.sorted_circles())))
+        errors.append(("CircleInBoundary", ",".join(g.circles)))
     return errors
 
 
@@ -174,7 +174,7 @@ def _match_errors(be: BoundaryEmbedding):
     if be.m.cod != be.host:
         errors.append(("LegCodomainMismatch", "m"))
     errors.extend(("MatchUndefinedOnInterior", v)
-                  for v in sorted(be.left.vertices)
+                  for v in be.left.vertices
                   if v != lb and be.m.v(v) is None)
     return errors
 

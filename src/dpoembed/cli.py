@@ -265,34 +265,50 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify-morphism", cmd_classify_morphism,
         help="classify morphism data as embedding, morphism or invalid")
 
+    rotations = "carry the document's rotation systems through the step"
+    solution = "wire re-pairing solution N (default: the canonical one)"
+
     p = add("pushout", cmd_pushout, help="pushout of a partitioning span")
-    p.add_argument("--rotations", action="store_true")
+    p.add_argument("--rotations", action="store_true", help=rotations)
 
     p = add("complement", cmd_complement,
             help="pushout complement of a boundary embedding")
-    p.add_argument("--solution", type=int, default=None, metavar="N")
-    p.add_argument("--rotations", action="store_true")
+    p.add_argument("--solution", type=int, default=None, metavar="N",
+                   help=solution)
+    p.add_argument("--rotations", action="store_true", help=rotations)
 
     p = add("repairings", cmd_repairings,
             help="enumerate re-pairing solutions")
-    p.add_argument("--classify-genus", action="store_true")
-    p.add_argument("--planar-only", action="store_true")
+    p.add_argument("--classify-genus", action="store_true",
+                   help="report the genus of each solution's complement")
+    p.add_argument("--planar-only", action="store_true",
+                   help="keep the solutions with a planar complement only")
 
     p = add("match", cmd_match, help="find matches of a rule in a host")
-    p.add_argument("--rotations", action="store_true")
+    p.add_argument("--rotations", action="store_true",
+                   help="find only the rotation-preserving matches")
 
     p = add("rewrite", cmd_rewrite, help="one DPO rewrite step")
-    p.add_argument("--match", type=int, default=0, metavar="N")
-    p.add_argument("--solution", type=int, default=None, metavar="N")
-    p.add_argument("--rotations", action="store_true")
+    p.add_argument("--match", type=int, default=0, metavar="N",
+                   help="rewrite at match N of the document's matches, or "
+                        "else of those found (default 0)")
+    p.add_argument("--solution", type=int, default=None, metavar="N",
+                   help=solution)
+    p.add_argument("--rotations", action="store_true",
+                   help="carry rotations through the step; --match counts "
+                        "rotation-preserving matches")
 
     add("genus", cmd_genus, help="surface report of a rotation graph")
 
     p = sub.add_parser("lawcheck", help="run the law suite")
-    p.add_argument("--law", default=None, metavar="NAME")
+    p.add_argument("--law", default=None, metavar="NAME",
+                   help="run only this law (default: every law)")
     p.add_argument("--budget", type=_budget, default=None,
-                   metavar="V,E,O[,B]")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+                   metavar="V,E,O[,B]",
+                   help="at most V vertices, E edges, O circles and B "
+                        "boundary edges")
+    p.add_argument("--seed", type=int, default=0, metavar="S",
+                   help="seed of the random instances (default 0)")
     p.add_argument("--random", type=_count, default=0, metavar="N",
                    help="extra seeded-random instances per law")
     p.set_defaults(fn=cmd_lawcheck.__name__)

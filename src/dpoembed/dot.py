@@ -31,11 +31,11 @@ def _vertex_line(v: str, rotations: Optional[RotationSystem]) -> str:
 
 def graph_to_dot(g: Graph, rotations: Optional[RotationSystem] = None) -> str:
     lines = ['digraph "G" {']
-    for v in g.sorted_vertices():
+    for v in g.vertices:
         lines.append(_vertex_line(v, rotations))
     for e, (s, t) in g.edges.items():
         lines.append(f"  {_quote(s)} -> {_quote(t)} [label={_quote(e)}];")
-    for o in g.sorted_circles():
+    for o in g.circles:
         lines.append(f"  {_quote(o)} [shape=doublecircle, style=dashed,"
                      f" label={_quote(o)}];")
     lines.append("}")
@@ -50,14 +50,14 @@ def span_to_dot(span: PartitioningSpan) -> str:
     def cluster(tag: str, g: Graph, boundary=()):
         lines.append(f"  subgraph cluster_{tag} {{")
         lines.append(f"    label={_quote(tag)};")
-        for v in g.sorted_vertices():
+        for v in g.vertices:
             special = "doubleoctagon" if v in boundary else None
             attrs = f" [shape={special}]" if special else ""
             lines.append(f"    {_quote(tag + ':' + v)}{attrs};")
         for e, (s, t) in g.edges.items():
             lines.append(f"    {_quote(tag + ':' + s)} -> "
                          f"{_quote(tag + ':' + t)} [label={_quote(e)}];")
-        for o in g.sorted_circles():
+        for o in g.circles:
             lines.append(f"    {_quote(tag + ':' + o)} [shape=doublecircle,"
                          f" style=dashed, label={_quote(o)}];")
         lines.append("  }")

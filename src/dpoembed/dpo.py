@@ -192,8 +192,7 @@ def pushout(span: PartitioningSpan,
         ctx, result,
         {v: f"C.{v}" for v in ctx.vertices if v != vb_c}, amaps["C"])
 
-    classes_out: Dict[str, Tuple[str, ...]] = dict.fromkeys(
-        itertools.chain(result.edges, result.circles), ())
+    classes_out: Dict[str, Tuple[str, ...]] = dict.fromkeys(result.arcs(), ())
     for e in bedges:  # in id order, so each class's tuple is sorted
         classes_out[glued["L"][span.l.amap[e]]] += (e,)
 
@@ -479,7 +478,6 @@ def iso_check(g1: Graph, g2: Graph):
                     parent[u] = order[i]
                     order.append(u)
             i += 1
-    candidates = sorted(g2.vertices)
     vmap: Dict[str, str] = {}
     preimage: Dict[str, str] = {}
 
@@ -504,7 +502,7 @@ def iso_check(g1: Graph, g2: Graph):
             return True
         v = order[i]
         p = parent[v]
-        for w in candidates if p is None else near2[vmap[p]]:
+        for w in g2.vertices if p is None else near2[vmap[p]]:
             if w in preimage or sig2[w] != sig1[v]:
                 continue
             if not consistent(v, w):
@@ -526,6 +524,6 @@ def iso_check(g1: Graph, g2: Graph):
         buckets.setdefault(ends, []).append(e)
     for e, (s, t) in g1.edges.items():
         amap[e] = buckets[(vmap[s], vmap[t])].pop(0)
-    for o1, o2 in zip(g1.sorted_circles(), g2.sorted_circles()):
+    for o1, o2 in zip(g1.circles, g2.circles):
         amap[o1] = o2
     return dict(sorted(vmap.items())), amap

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, KeysView, Mapping, NamedTuple, Optional, Tuple
 
 SRC = "src"
 TGT = "tgt"
@@ -56,13 +56,15 @@ class Graph:
     """A graph with circles: (V, E, O, s, t).
 
     Immutable after construction; edges maps edge id to (source, target).
-    Only `graph` builds one, and it stores `edges` in id order, so every
-    reader iterates the table as stored and none sorts it again.
+    Only `graph` builds one, and it stores `vertices`, `edges` and
+    `circles` in id order, so every reader iterates them as stored and
+    none sorts them again.  `vertices` and `circles` are read-only key
+    views: membership, `len` and the set operators work as on sets.
     """
 
-    vertices: frozenset
+    vertices: KeysView
     edges: Mapping[str, Tuple[str, str]]
-    circles: frozenset
+    circles: KeysView
 
     @cached_property
     def incidence(self) -> Mapping[str, Tuple[Flag, ...]]:
@@ -100,20 +102,14 @@ class Graph:
         return a in self.circles
 
     def arcs(self) -> Tuple[str, ...]:
-        """All arc ids, edges and circles, in id order."""
-        return tuple(self.edges) + tuple(sorted(self.circles))
-
-    def sorted_vertices(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.vertices))
-
-    def sorted_circles(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.circles))
+        """All arc ids: the edges, then the circles, each in id order."""
+        return (*self.edges, *self.circles)
 
     def __repr__(self) -> str:
         es = ", ".join(f"{e}:{s}->{t}" for e, (s, t) in self.edges.items())
         return (
-            f"Graph(V={sorted(self.vertices)}, E=[{es}], "
-            f"O={sorted(self.circles)})"
+            f"Graph(V={list(self.vertices)}, E=[{es}], "
+            f"O={list(self.circles)})"
         )
 
 
@@ -122,11 +118,11 @@ def graph(
     edges: Optional[Mapping[str, Tuple[str, str]]] = None,
     circles: Iterable[str] = (),
 ) -> Graph:
-    """Normalizing constructor; does not validate."""
+    """Normalizing constructor; does not validate; repeated ids collapse."""
     return Graph(
-        vertices=frozenset(vertices),
+        vertices=dict.fromkeys(sorted(vertices)).keys(),
         edges={e: (s, t) for e, (s, t) in sorted((edges or {}).items())},
-        circles=frozenset(circles),
+        circles=dict.fromkeys(sorted(circles)).keys(),
     )
 
 
@@ -141,8 +137,8 @@ def validate_graph(g: Graph) -> ValidationReport:
             errors.append(("DanglingEndpoint", f"edge {e}: source {s}"))
         if t not in g.vertices:
             errors.append(("DanglingEndpoint", f"edge {e}: target {t}"))
-    for a in sorted(set(g.edges) & g.circles):
-        errors.append(("DuplicateId", f"arc id {a} is both an edge and a circle"))
+    errors.extend(("DuplicateId", f"arc id {a} is both an edge and a circle")
+                  for a in g.circles if a in g.edges)
     return ValidationReport(tuple(errors))
 
 
@@ -187,20 +183,20 @@ def _union_find(items, pairs, key=None):
 def connected_components(g: Graph):
     """Partition vertices and arcs by edge adjacency.
 
-    Returns a list of (vertex frozenset, arc frozenset) pairs in
-    deterministic order.  Each circle is a component of its own.
-    O(V + E): each edge joins the component of its source in one pass.
+    Returns a list of (vertex ids, arc ids) pairs, each a key view in id
+    order as `Graph.vertices` is: the components with vertices by least
+    vertex, then each circle alone, in id order.  O(V + E): walked in id
+    order, each class opens at its union-find root (its least member),
+    and each edge joins the component of its source in one pass.
     """
     root = _union_find(g.vertices, g.edges.values())
-    groups = {r: (set(), set()) for r in set(root.values())}
+    groups: dict = {}
     for v, r in root.items():
-        groups[r][0].add(v)
+        groups.setdefault(r, ({}, {}))[0][v] = None
     for e, (s, _) in g.edges.items():
-        groups[root[s]][1].add(e)
-    comps = [(frozenset(vs), frozenset(arcs))
-             for _, (vs, arcs) in sorted(groups.items())]
-    for o in g.sorted_circles():
-        comps.append((frozenset(), frozenset([o])))
+        groups[root[s]][1][e] = None
+    comps = [(vs.keys(), arcs.keys()) for vs, arcs in groups.values()]
+    comps.extend(({}.keys(), {o: None}.keys()) for o in g.circles)
     return comps
 
 

@@ -98,7 +98,7 @@ def _walk(rule: RewriteRule, host: Graph, rotations: Rotations):
                   for i, fl in enumerate(rots[1].rotation(w))}
     # a root tries every host vertex of its degree, in id order
     by_degree: dict = {}
-    for w in host.sorted_vertices():
+    for w in host.vertices:
         by_degree.setdefault(len(hinc[w]), []).append(w)
     loops = [e for e, ends in left.edges.items() if ends == (lb, lb)]
     host_arcs = host.arcs()

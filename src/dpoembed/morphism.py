@@ -205,7 +205,7 @@ def _classify(f: GraphMorphism) -> MorphismClass:
         if v not in dom.vertices or f.vmap[v] not in cod.vertices:
             violations.append(("NotTotalOnArcs", f"bad vertex entry {v}"))
 
-    for o in dom.sorted_circles():
+    for o in dom.circles:
         img = f.amap.get(o)
         if img is not None and img in cod.edges:
             violations.append(("CircleToEdge", f"circle {o} maps to edge {img}"))
@@ -229,7 +229,7 @@ def _classify(f: GraphMorphism) -> MorphismClass:
             emb_violations.append(("VertexMapNotInjective", f"{seen[w]},{v} -> {w}"))
         seen[w] = v
     oimg = {}
-    for o in dom.sorted_circles():
+    for o in dom.circles:
         img = f.amap.get(o)
         if img in oimg:
             emb_violations.append(("CircleMapNotInjective", f"{oimg[img]},{o} -> {img}"))

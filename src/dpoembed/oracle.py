@@ -122,7 +122,7 @@ def scan_flags(g: Graph, v: str) -> frozenset:
 def all_rotations(g: Graph) -> List[RotationSystem]:
     """Every rotation system of g: independent cyclic orders per vertex."""
     per_vertex = []
-    vs = g.sorted_vertices()
+    vs = sorted(g.vertices)
     for v in vs:
         fls = sorted(scan_flags(g, v))
         if not fls:

@@ -71,7 +71,7 @@ def cyclic_equal(a: Sequence, b: Sequence) -> bool:
 def validate_rotation(rs: RotationSystem) -> ValidationReport:
     """Every flag appears exactly once at its vertex, and nothing else."""
     errors = list(validate_graph(rs.graph).errors)
-    for v in rs.graph.sorted_vertices():
+    for v in rs.graph.vertices:
         expected = flags_at(rs.graph, v)
         listed = rs.rotation(v)
         seen = set()
@@ -228,8 +228,8 @@ def genus_report(rs: RotationSystem) -> SurfaceReport:
         if genus < 0:
             raise RotationError("negative genus from a valid rotation system")
         reports.append(ComponentReport(
-            vertices=tuple(sorted(vs)),
-            arcs=tuple(sorted(arcs)),
+            vertices=tuple(vs),
+            arcs=tuple(arcs),
             vertex_count=len(vs),
             edge_count=edge_count,
             circle_count=circle_count,

@@ -92,10 +92,10 @@ def _flag_from_token(token: str, where: str) -> Flag:
 def graph_to_body(g: Graph,
                   rotations: Optional[RotationSystem] = None) -> Dict[str, Any]:
     body: Dict[str, Any] = {
-        "vertices": g.sorted_vertices(),
+        "vertices": tuple(g.vertices),
         "edges": {e: {"source": s, "target": t}
                   for e, (s, t) in g.edges.items()},
-        "circles": g.sorted_circles(),
+        "circles": tuple(g.circles),
     }
     if rotations is not None:
         body["rotations"] = {
@@ -155,6 +155,14 @@ def graph_from_body(body: Mapping, where: str = "graph",
         edges[e] = (_string(spec["source"], f"{where}.edges.{e}.source"),
                     _string(spec["target"], f"{where}.edges.{e}.target"))
     g = graph(vertices, edges, circles)
+    for key, ids, kept in (("vertices", vertices, g.vertices),
+                           ("circles", circles, g.circles)):
+        if len(kept) != len(ids):  # `graph` collapsed a repeated id
+            seen: set = set()
+            for i in ids:
+                if i in seen:
+                    raise ValidationFailed(f"{where}.{key}: repeated id {i!r}")
+                seen.add(i)
     report = validate_graph(g)
     if not report.ok:
         raise ValidationFailed(f"{where}: {report.errors}")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -168,6 +169,33 @@ def test_malformed_vertex_ids_are_usage_errors(capsys, tmp_path, vertices):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "vertices" in err
+
+
+@pytest.mark.parametrize("vertices,circles,message", [
+    (["a", "a", "b"], ["o", "o"], "graph.vertices: repeated id 'a'"),
+    (["a", "b"], ["o", "p", "o"], "graph.circles: repeated id 'o'"),
+], ids=["vertices-first", "circles"])
+def test_repeated_ids_in_a_graph_are_refused(capsys, tmp_path, vertices,
+                                             circles, message):
+    # `graph` would collapse them, and the document would pass
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "graph", "format_version": "1",
+                               "body": {"vertices": vertices, "edges": {},
+                                        "circles": circles}}))
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_genus_refuses_a_rotation_graph_that_lists_a_vertex_twice(
+        capsys, tmp_path):
+    payload = json.loads(
+        (FIXTURES / "rotation_bouquet_single.json").read_text())
+    payload["body"]["vertices"] = ["v", "v"]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "genus", str(doc))
+    assert (code, out, err) == (
+        1, "", "error: rotation_graph.vertices: repeated id 'v'\n")
 
 
 @pytest.mark.parametrize("command,name,field,key,value", [
@@ -593,6 +621,17 @@ def test_unsupported_format_version_is_named(capsys, tmp_path):
 
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_option_has_help_text():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    bare = [f"{name} {action.option_strings[-1]}"
+            for name, p in [("dpoembed", parser), *sub.choices.items()]
+            for action in p._actions
+            if action.option_strings and not action.help]
+    assert bare == []
 
 
 def test_a_lenient_call_leaves_the_next_call_strict(capsys, tmp_path):

@@ -63,12 +63,19 @@ def small_graphs(draw):
 
 
 @given(small_graphs())
+@example(graph(["v2", "v10", "a"], {"f": ("a", "a"), "e": ("v2", "a")},
+               ["o2", "o10"]))  # in id order "v10" < "v2", "o10" < "o2"
 def test_components_partition_vertices_and_arcs(g):
     comps = connected_components(g)
     all_vs = [v for vs, _ in comps for v in vs]
     all_arcs = [a for _, arcs in comps for a in arcs]
     assert sorted(all_vs) == sorted(g.vertices)
     assert sorted(all_arcs) == sorted(g.arcs())
+    # members in id order; components by least vertex, then circles
+    for vs, arcs in comps:
+        assert list(vs) == sorted(vs) and list(arcs) == sorted(arcs)
+    firsts = [(not vs, min(vs or arcs)) for vs, arcs in comps]
+    assert firsts == sorted(firsts)
 
 
 def _bfs_components(g):
@@ -163,6 +170,8 @@ def test_graph_keeps_edges_given_in_reverse_in_id_order():
     edges = {"e1": ("u", "u"), "e10": ("v", "u"), "e2": ("u", "v")}
     g = graph(["v", "u"], dict(reversed(edges.items())), ["o2", "o1"])
     assert list(g.edges) == ["e1", "e10", "e2"]
+    assert list(g.vertices) == ["u", "v"]
+    assert list(g.circles) == ["o1", "o2"]
     assert g.arcs() == ("e1", "e10", "e2", "o1", "o2")
     assert g.incidence["u"] == (Flag("e1", "src"), Flag("e1", "tgt"),
                                 Flag("e10", "tgt"), Flag("e2", "src"))

@@ -130,7 +130,7 @@ def test_multi_component_flagged_underdetermined():
 
 def random_rotation(g, rng):
     inc = {}
-    for v in g.sorted_vertices():
+    for v in g.vertices:
         fls = sorted(
             Flag(e, end) for e in g.edges for end in ("src", "tgt")
             if (g.source(e) if end == "src" else g.target(e)) == v)
@@ -608,7 +608,7 @@ def _random_rotated_embedding(seed):
     apool = _CLASHING + [f"x{i}" for i in range(len(g.arcs()) + 6)]
     rng.shuffle(vpool)
     rng.shuffle(apool)
-    vnames = dict(zip(g.sorted_vertices(), vpool))
+    vnames = dict(zip(g.vertices, vpool))
     anames = dict(zip(g.arcs(), apool))
     host, rot_h = _renamed(g, po.rotation, vnames, anames)
     m = morphism(span.left, host,
