@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Tuple
 
 from .graph import Graph, is_connected, validate_graph
@@ -44,11 +45,25 @@ class CombinatorialLimitExceeded(BoundaryError):
 @dataclass(frozen=True)
 class BoundaryGraph:
     """A two-vertex graph with no self-loops and no circles; its two
-    vertices are the boundary and the dual boundary."""
+    vertices are the boundary and the dual boundary.  Its errors are
+    computed on the first ask and kept, as a tuple that is not a
+    dataclass field; so are those of the three classes below."""
 
     graph: Graph
     boundary: str
     dual_boundary: str
+
+    @cached_property
+    def _errors(self):
+        g, v, w = self.graph, self.boundary, self.dual_boundary
+        errors = list(validate_graph(g).errors)
+        if g.vertices != frozenset((v, w)) or v == w:
+            errors.append(("BadBoundaryVertices", f"expected exactly {{{v}, {w}}}"))
+        errors.extend(("SelfLoopInBoundary", e)
+                      for e, (s, t) in g.edges.items() if s == t)
+        if g.circles:
+            errors.append(("CircleInBoundary", ",".join(g.circles)))
+        return tuple(errors)
 
     def polarity(self, e: str) -> str:
         return POS if self.graph.source(e) == self.boundary else NEG
@@ -58,29 +73,27 @@ class BoundaryGraph:
 
 
 def validate_boundary_graph(b: BoundaryGraph):
-    g = b.graph
-    errors = list(validate_graph(g).errors)
-    if g.vertices != frozenset((b.boundary, b.dual_boundary)) or b.boundary == b.dual_boundary:
-        errors.append(("BadBoundaryVertices",
-                       f"expected exactly {{{b.boundary}, {b.dual_boundary}}}"))
-    for e, (s, t) in g.edges.items():
-        if s == t:
-            errors.append(("SelfLoopInBoundary", e))
-    if g.circles:
-        errors.append(("CircleInBoundary", ",".join(g.circles)))
-    return errors
+    return list(b._errors)
 
 
 @dataclass(frozen=True)
 class PartitioningSpan:
     """L <-l- B -c-> C with l defined on the boundary only and c on the
-    dual boundary only; both legs embeddings."""
+    dual boundary only; both legs embeddings.  Its kept errors are B's,
+    then l's and c's."""
 
     b: BoundaryGraph
     left: Graph
     context: Graph
     l: GraphMorphism
     c: GraphMorphism
+
+    @cached_property
+    def _errors(self):
+        b = self.b
+        return (*b._errors,
+                *_leg_errors("l", self.l, b, self.left, b.boundary),
+                *_leg_errors("c", self.c, b, self.context, b.dual_boundary))
 
 
 def _leg_errors(name: str, leg: GraphMorphism, b: BoundaryGraph,
@@ -103,10 +116,7 @@ def _leg_errors(name: str, leg: GraphMorphism, b: BoundaryGraph,
 
 
 def validate_span(span: PartitioningSpan):
-    b = span.b
-    return (validate_boundary_graph(b)
-            + _leg_errors("l", span.l, b, span.left, b.boundary)
-            + _leg_errors("c", span.c, b, span.context, b.dual_boundary))
+    return list(span._errors)
 
 
 def check_span(span: PartitioningSpan) -> None:
@@ -118,7 +128,8 @@ def check_span(span: PartitioningSpan) -> None:
 @dataclass(frozen=True)
 class RewriteRule:
     """L <= B => R: both legs satisfy the left-leg conditions of a
-    partitioning span on the boundary vertex."""
+    partitioning span on the boundary vertex.  Its kept errors are B's,
+    then l's and r's."""
 
     b: BoundaryGraph
     left: Graph
@@ -126,12 +137,16 @@ class RewriteRule:
     l: GraphMorphism
     r: GraphMorphism
 
+    @cached_property
+    def _errors(self):
+        b = self.b
+        return (*b._errors,
+                *_leg_errors("l", self.l, b, self.left, b.boundary),
+                *_leg_errors("r", self.r, b, self.right, b.boundary))
+
 
 def validate_rule(rule: RewriteRule):
-    b = rule.b
-    return (validate_boundary_graph(b)
-            + _leg_errors("l", rule.l, b, rule.left, b.boundary)
-            + _leg_errors("r", rule.r, b, rule.right, b.boundary))
+    return list(rule._errors)
 
 
 @dataclass(frozen=True)
@@ -139,7 +154,8 @@ class BoundaryEmbedding:
     """B -l-> L -m-> G with L connected, m an embedding, and the match
     undefined on the image of the boundary vertex but defined on every
     other vertex of L: the complement removes exactly m's image, so a
-    vertex m forgets would be left behind in it."""
+    vertex m forgets would be left behind in it.  Its kept errors are
+    B's, then l's, then the match's."""
 
     b: BoundaryGraph
     left: Graph
@@ -147,16 +163,20 @@ class BoundaryEmbedding:
     l: GraphMorphism
     m: GraphMorphism
 
+    @cached_property
+    def _errors(self):
+        b = self.b
+        return (*b._errors,
+                *_leg_errors("l", self.l, b, self.left, b.boundary),
+                *_match_errors(self))
+
     def image_arc(self, e: str) -> str:
         """(m_A . l_A) applied to a boundary edge."""
         return self.m.amap[self.l.amap[e]]
 
 
 def validate_boundary_embedding(be: BoundaryEmbedding):
-    b = be.b
-    return (validate_boundary_graph(b)
-            + _leg_errors("l", be.l, b, be.left, b.boundary)
-            + _match_errors(be))
+    return list(be._errors)
 
 
 def _match_errors(be: BoundaryEmbedding):

@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from . import dot, serialize
-from .boundary import BoundaryError, enumerate_re_pairings, solve_re_pairing
+from .boundary import (BoundaryError, blue_half, enumerate_re_pairings,
+                       solve_re_pairing)
 from .dpo import (
     DpoError,
     classify_re_pairings,
@@ -130,10 +130,8 @@ def cmd_repairings(args) -> int:
     solved = (classify_re_pairings(be, rots) if classify_genus
               else [(s, None) for s in enumerate_re_pairings(be)])
     kept = [(s, r) for s, r in solved if not args.planar_only or r.is_planar]
-    # every solution extends the blue half, and there is always one
     body = {"operation": "repairings",
-            "blue_half": serialize.solution_to_body(
-                replace(solved[0][0], red=frozenset())),
+            "blue_half": serialize.solution_to_body(blue_half(be)),
             "solutions": [serialize.solution_to_body(s) for s, _ in kept]}
     if classify_genus:
         body["reports"] = serialize.surface_report_bodies(

@@ -60,6 +60,8 @@ class Graph:
     `circles` in id order, so every reader iterates them as stored and
     none sorts them again.  `vertices` and `circles` are read-only key
     views: membership, `len` and the set operators work as on sets.
+    Its `validate_graph` report is computed on the first ask and kept,
+    as `incidence` is.
     """
 
     vertices: KeysView
@@ -82,6 +84,18 @@ class Graph:
             inc.setdefault(s, []).append(new(Flag, (e, SRC)))
             inc.setdefault(t, []).append(new(Flag, (e, TGT)))
         return {v: tuple(fls) for v, fls in inc.items()}
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        errors = []
+        for e, (s, t) in self.edges.items():
+            if s not in self.vertices:
+                errors.append(("DanglingEndpoint", f"edge {e}: source {s}"))
+            if t not in self.vertices:
+                errors.append(("DanglingEndpoint", f"edge {e}: target {t}"))
+        errors.extend(("DuplicateId", f"arc id {a} is both an edge and a circle")
+                      for a in self.circles if a in self.edges)
+        return ValidationReport(tuple(errors))
 
     @cached_property
     def without_circles(self) -> "Graph":
@@ -131,15 +145,7 @@ EMPTY_GRAPH = graph()
 
 def validate_graph(g: Graph) -> ValidationReport:
     """Check edge endpoints exist and arc ids are unique across sorts."""
-    errors = []
-    for e, (s, t) in g.edges.items():
-        if s not in g.vertices:
-            errors.append(("DanglingEndpoint", f"edge {e}: source {s}"))
-        if t not in g.vertices:
-            errors.append(("DanglingEndpoint", f"edge {e}: target {t}"))
-    errors.extend(("DuplicateId", f"arc id {a} is both an edge and a circle")
-                  for a in g.circles if a in g.edges)
-    return ValidationReport(tuple(errors))
+    return g._report
 
 
 def flags_at(g: Graph, v: str) -> frozenset:

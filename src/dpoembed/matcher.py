@@ -12,7 +12,7 @@ host flag with its end at the vertex's image: the one its mapped edge
 forces, the one at its cyclic offset from the vertex's first flag given
 rotations, or any; mapping a new edge places its far endpoint.
 Self-loops at the boundary image take any host arc.
-The rule is validated once per search.  A completed walk is an
+The search reads the rule's kept verdict.  A completed walk is an
 embedding by construction, so no candidate is classified.  The walk
 yields each match as its vertex and arc tables: `find_matches` builds
 every match, `nth_match` only the one it returns.  The
@@ -62,8 +62,8 @@ def _walk(rule: RewriteRule, host: Graph, rotations: Rotations):
         check_rotations("match", rots, (left, host), ())
     if not is_connected(left):
         raise LNotConnected("rule left-hand side must be connected")
-    # The rule's half of the boundary-embedding conditions, once per
-    # search: an invalid rule has no matches.  A valid rule's L holds
+    # The rule's half of the boundary-embedding conditions, kept on the
+    # rule: an invalid rule has no matches.  A valid rule's L holds
     # the boundary image, so, being connected, it has no circle.
     if validate_rule(rule) or not left.edges:
         return  # invalid rule, or nothing to anchor a match

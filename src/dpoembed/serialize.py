@@ -496,7 +496,8 @@ def read_document(text: str, lenient: bool = False):
     """
     try:
         payload = json.loads(text, parse_constant=_non_finite,
-                             parse_float=_finite_float)
+                             parse_float=_finite_float,
+                             object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:
@@ -518,6 +519,19 @@ def _non_finite(literal: str):
     """Refuse `NaN`, `Infinity`, `-Infinity` and overflowing literals,
     which `json.loads` accepts by default but strict JSON does not."""
     raise DocumentError(f"non-finite number {literal}")
+
+
+def _unique_keys(pairs) -> dict:
+    """An object's members, refusing a key the object repeats, of which
+    `json.loads` would keep the last silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _finite_float(literal: str) -> float:

@@ -7,6 +7,7 @@ from dpoembed import (
     BoundaryEmbedding,
     BoundaryGraph,
     Flag,
+    Graph,
     PartitioningSpan,
     RewriteRule,
     graph,
@@ -141,3 +142,24 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+# the classes that keep a verdict: a graph its report, the others their
+# error tuple, each computed by the body of one cached property
+VERDICT_CLASSES = (Graph, BoundaryGraph, RewriteRule, PartitioningSpan,
+                   BoundaryEmbedding)
+
+
+def record_verdicts(monkeypatch, cls):
+    """Wrap the body of the verdict `cls` keeps; returns the list of the
+    objects it checks, in order.  The list holds each object, so no two
+    of them share an `id`."""
+    prop = vars(cls)["_report" if cls is Graph else "_errors"]
+    body, checked = prop.func, []
+
+    def recorded(obj):
+        checked.append(obj)
+        return body(obj)
+
+    monkeypatch.setattr(prop, "func", recorded)
+    return checked

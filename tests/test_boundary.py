@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from dpoembed import (
     BoundaryGraph,
     PairingGraph,
     PartitioningSpan,
+    RewriteRule,
     arc_classes,
     blue_half,
     enumerate_re_pairings,
@@ -20,6 +22,8 @@ from dpoembed import (
     solve_re_pairing,
     validate_boundary_embedding,
     validate_boundary_graph,
+    validate_graph,
+    validate_rule,
     validate_span,
 )
 from dpoembed.boundary import (
@@ -37,6 +41,13 @@ from dpoembed.lawcheck import (
     random_boundary_embedding,
 )
 from dpoembed.oracle import is_cycle_component, pairing_components
+from dpoembed.serialize import (
+    Document,
+    boundary_to_body,
+    graph_doc,
+    print_document,
+    span_shaped_doc,
+)
 
 from conftest import bouquet_embedding
 
@@ -307,3 +318,51 @@ def test_random_embedding_solutions_are_distinct_and_counted(seed):
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
 def test_bouquet_solutions_are_distinct_and_counted(sizes):
     _assert_distinct_and_counted(bouquet_embedding(sizes))
+
+
+# Each class that keeps a verdict: a fresh object of it, its check, its
+# document and its dataclass fields.  The span is not valid (its c is
+# defined on the boundary), so its check returns a non-empty list.
+_KEEPERS = {
+    "graph": (lambda be: be.host, validate_graph, graph_doc,
+              ("vertices", "edges", "circles")),
+    "boundary_graph": (
+        lambda be: be.b, validate_boundary_graph,
+        lambda b: Document("trace", boundary_to_body(b)),
+        ("graph", "boundary", "dual_boundary")),
+    "rule": (lambda be: RewriteRule(be.b, be.left, be.left, be.l, be.l),
+             validate_rule, span_shaped_doc,
+             ("b", "left", "right", "l", "r")),
+    "span": (lambda be: PartitioningSpan(be.b, be.left, be.left, be.l, be.l),
+             validate_span, span_shaped_doc,
+             ("b", "left", "context", "l", "c")),
+    "boundary_embedding": (lambda be: be, validate_boundary_embedding,
+                           span_shaped_doc, ("b", "left", "host", "l", "m")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KEEPERS))
+def test_a_kept_verdict_is_invisible(kind):
+    make, check, doc, names = _KEEPERS[kind]
+    checked, fresh = make(bouquet_embedding((2,))), make(
+        bouquet_embedding((2,)))
+    answer = check(checked)
+    assert check(checked) == answer
+    assert checked == fresh
+    assert repr(checked) == repr(fresh)
+    assert print_document(doc(checked)) == print_document(doc(fresh))
+    assert tuple(f.name for f in dataclasses.fields(checked)) == names
+    assert check(fresh) == answer
+
+
+@pytest.mark.parametrize("kind", sorted(set(_KEEPERS) - {"graph"}))
+def test_a_kept_verdict_is_not_shared_with_the_caller(kind):
+    # a graph's report is frozen; the others hand out a fresh list
+    make, check, _, _ = _KEEPERS[kind]
+    obj = make(bouquet_embedding((2,)))
+    answer = check(obj)
+    first = check(obj)
+    first.append(("Mutated", ""))
+    assert check(obj) == answer
+    first.clear()
+    assert check(obj) == answer

@@ -16,7 +16,8 @@ from dpoembed.serialize import (
     span_shaped_doc,
 )
 
-from conftest import FIXTURES, bouquet_embedding, count_calls
+from conftest import (FIXTURES, VERDICT_CLASSES, bouquet_embedding,
+                      count_calls, record_verdicts)
 from golden import DOCUMENT_VARIANTS
 
 CORPUS = sorted(FIXTURES.glob("*.json"))
@@ -136,6 +137,26 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: non-finite number 1e400\n"
+
+
+@pytest.mark.parametrize("lenient", [(), ("--lenient",)],
+                         ids=["strict", "lenient"])
+@pytest.mark.parametrize("text,key", [
+    ('{"format_version": "1", "kind": "graph", "body": {"vertices": '
+     '["a", "b"], "edges": {"e": {"source": "a", "target": "b"}, '
+     '"e": {"source": "b", "target": "a"}}}}', "e"),
+    ('{"format_version": "1", "kind": "trace", "kind": "graph", '
+     '"body": {"vertices": [], "edges": {}}}', "kind"),
+], ids=["edge", "kind"])
+def test_repeated_keys_are_usage_errors(capsys, tmp_path, text, key,
+                                        lenient):
+    # json.loads would keep the last of them without a word
+    doc = tmp_path / "repeated.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, *lenient, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: repeated key {key!r}\n"
 
 
 def test_finite_floats_print_as_json_dumps(capsys, tmp_path):
@@ -693,6 +714,19 @@ def test_every_output_document_is_json_dumps_text(capsys, path):
         if code == 0:
             assert out == json.dumps(json.loads(out), sort_keys=True,
                                      indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_no_object_is_checked_twice_in_one_call(monkeypatch, capsys, path):
+    # each object computes its verdict on the first ask and keeps it, so
+    # however many entries ask, one CLI call checks it once
+    checked = [record_verdicts(monkeypatch, cls) for cls in VERDICT_CLASSES]
+    for argv in (*DOCUMENT_VARIANTS, ("export-dot",)):
+        for objs in checked:
+            objs.clear()
+        run(capsys, *argv, str(path))
+        ids = [id(obj) for objs in checked for obj in objs]
+        assert len(ids) == len(set(ids)), argv
 
 
 def _two_loop_match_doc():

@@ -38,7 +38,8 @@ from dpoembed.dpo import (
     SolutionIndexOutOfRange,
 )
 
-from conftest import bouquet_embedding, bouquet_rotations, count_calls
+from conftest import (bouquet_embedding, bouquet_rotations, count_calls,
+                      record_verdicts)
 
 
 def test_pushout_of_edgeless_boundary():
@@ -286,18 +287,22 @@ def test_every_re_pairing_entry_validates_the_embedding_once(monkeypatch,
 
 
 def test_rewrite_checks_each_condition_once(monkeypatch):
-    # the rule check, the blue_half gate and the closing pushout's span
-    # check each see the boundary graph; the legs are l and r, l and c
+    # the rule, the blue_half gate's embedding and the closing pushout's
+    # span all hold B, which computes its verdict on the first ask; the
+    # legs are l and r in the rule, l in the embedding, and r (named
+    # "l") and c in the span, and each run reads the leg's kept
+    # classification
     from dpoembed import boundary
     be = bouquet_embedding((4,))
-    spans = count_calls(monkeypatch, boundary.check_span)
-    boundary_graphs = count_calls(monkeypatch,
-                                  boundary.validate_boundary_graph)
+    checked = {cls: record_verdicts(monkeypatch, cls)
+               for cls in (BoundaryGraph, RewriteRule, BoundaryEmbedding,
+                           PartitioningSpan)}
     legs = count_calls(monkeypatch, boundary._leg_errors)
     _, trace = rewrite(RewriteRule(be.b, be.left, be.left, be.l, be.l),
                        be.host, be.m)
-    assert spans == [1]
-    assert boundary_graphs == [3]
+    assert {cls.__name__: len(objs) for cls, objs in checked.items()} == {
+        "BoundaryGraph": 1, "RewriteRule": 1, "BoundaryEmbedding": 1,
+        "PartitioningSpan": 1}
     assert legs == [5]
     # classifying c reads the flags at the dual boundary only
     assert "incidence" not in trace.complement.context.__dict__

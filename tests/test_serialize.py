@@ -280,6 +280,20 @@ def test_read_document_refuses_non_finite_numbers(literal):
         read_document(text)
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("text,key", [
+    ('{"format_version": "1", "format_version": "1", "kind": "trace", '
+     '"body": []}', "format_version"),
+    ('{"format_version": "1", "kind": "trace", "body": {"a": 1, "a": 1}}',
+     "a"),
+    ('{"format_version": "1", "kind": "trace", "body": [{}, {"b": [{"c": '
+     '0, "c": 1}]}]}', "c"),
+], ids=["document", "body", "nested"])
+def test_read_document_refuses_a_repeated_key(text, key, lenient):
+    with pytest.raises(DocumentError, match=f"^repeated key '{key}'$"):
+        read_document(text, lenient=lenient)
+
+
 # Containers holding a run of at least _RUN_MIN non-empty dicts of
 # strings or lists of strings: the runs the writer hands to the stdlib
 # encoder in one call.  Ids run through st.text(), so they hold
